@@ -22,9 +22,8 @@ import (
 	"time"
 )
 
-// defaultHeartbeatPeriod is short relative to the quiescence detector's
-// 12 ms stuck window so a monitor observes several beats even in runs the
-// supervisor is about to reap.
+// defaultHeartbeatPeriod is short enough that a monitor observes several
+// beats in any run that lasts a millisecond or more.
 const defaultHeartbeatPeriod = 200 * time.Microsecond
 
 // heartbeat is the per-World monitor state.

@@ -126,8 +126,8 @@ type Rank struct {
 }
 
 // blockKind values. Park sites that never annotate themselves leave
-// blockNone, which makes exactQuiesced conservatively fall back to the
-// wall-clock stuck window.
+// blockNone, which makes exactQuiesced conservatively refuse to declare
+// the run frozen.
 const (
 	blockNone int32 = iota
 	blockRecv

@@ -402,9 +402,11 @@ func Run(opts RunOptions, fn func(r *Rank) error) RunResult {
 }
 
 // supervise watches for completion, deadlock, timeout or external
-// cancellation. Deadlock is declared when every unfinished rank is blocked
-// in a communication call and the global progress counter has not moved
-// across two consecutive samples.
+// cancellation. Deadlock is declared only when exactNow proves the run
+// frozen: every unfinished rank parked at an annotated site that cannot
+// fire, with message conservation holding. No wall-clock window decides
+// it, so a rank the scheduler leaves unrun for a while is never mistaken
+// for a stalled one.
 func (w *World) supervise(allDone chan struct{}, ctxDone <-chan struct{}, timeout time.Duration) (deadlock, timedOut, cancelled bool) {
 	deadline := time.NewTimer(timeout)
 	defer deadline.Stop()
@@ -412,17 +414,10 @@ func (w *World) supervise(allDone chan struct{}, ctxDone <-chan struct{}, timeou
 	tick := time.NewTicker(tickPeriod)
 	defer tick.Stop()
 
-	// The wall-clock stuck window must comfortably exceed scheduler jitter:
-	// a loaded machine can leave runnable goroutines unscheduled for a few
-	// milliseconds, which must not be mistaken for quiescence. It is the
-	// fallback for runs whose parked ranks are not all annotated, and is
-	// expressed in ticks so its ~12 ms width survives tick-period changes.
-	const stuckWindow = int(12 * time.Millisecond / tickPeriod)
-
 	// reap tears the frozen run down. Campaigns spend a large share of
 	// their wall clock on faulty runs whose survivors starve; this is the
-	// moment that cost is paid, so both the exact path and the fallback
-	// funnel through here.
+	// moment that cost is paid, so both the hint and the tick funnel
+	// through here.
 	reap := func() bool {
 		if w.failed.Load() > 0 {
 			// Not a deadlock of the application's own making: the surviving
@@ -436,8 +431,6 @@ func (w *World) supervise(allDone chan struct{}, ctxDone <-chan struct{}, timeou
 		return true
 	}
 
-	lastProgress := int64(-1)
-	stuckSamples := 0
 	for {
 		select {
 		case <-allDone:
@@ -460,20 +453,12 @@ func (w *World) supervise(allDone chan struct{}, ctxDone <-chan struct{}, timeou
 				return deadlock, false, false
 			}
 		case <-tick.C:
-			fin := w.finished.Load()
-			blk := w.blocked.Load()
-			prog := w.progress.Load()
-			if fin < int64(w.size) && fin+blk == int64(w.size) && prog == lastProgress {
-				stuckSamples++
-				if stuckSamples >= stuckWindow || w.exactNow() {
-					deadlock = reap()
-					<-allDone
-					return deadlock, false, false
-				}
-			} else {
-				stuckSamples = 0
+			// The safety net for a hint lost to the coalescing channel.
+			if w.exactNow() {
+				deadlock = reap()
+				<-allDone
+				return deadlock, false, false
 			}
-			lastProgress = prog
 		}
 	}
 }
@@ -511,7 +496,8 @@ func (w *World) exactNow() bool {
 // counters looks parked with an empty inbox, yet the pulled message is
 // missing from every queue. Ranks parked at sites that do not publish a
 // blockKind (none today; the check is written defensively) make the count
-// come up short, falling back to the wall-clock window.
+// come up short, so such a run is never declared deadlocked and ends at
+// its wall-clock timeout instead.
 func (w *World) exactQuiesced(fin int64) bool {
 	parked, queued := int64(0), int64(0)
 	for _, rk := range w.ranks {
