@@ -80,7 +80,7 @@ func run() error {
 		corr       = flag.Bool("correlations", false, "print the Table IV feature correlations")
 		advise     = flag.Bool("advise", false, "print per-site protection advice (paper §III-C criterion)")
 		saveJSON   = flag.String("save", "", "write the campaign result to a JSON file")
-		checkpoint = flag.String("checkpoint", "", "JSONL checkpoint journal; campaigns resume from a matching journal")
+		checkpoint = flag.String("checkpoint", "", "checkpoint journal; campaigns resume from a matching journal")
 		resume     = flag.Bool("resume", false, "require -checkpoint to exist and resume it")
 		workers    = flag.Int("workers", 0, "concurrent injection points (0 = derive from GOMAXPROCS)")
 		retries    = flag.Int("retries", 0, "harness attempts per point before quarantine (0 = default 3)")

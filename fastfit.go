@@ -425,10 +425,11 @@ func LogfObserver(logf func(format string, args ...any)) Observer {
 
 // ---- campaign supervision ----
 
-// Supervisor wraps a campaign in a resilient runner: a point-level worker
-// pool, an append-only JSONL checkpoint journal for interrupt/resume, and
-// per-point watchdogs that retry and ultimately quarantine points which
-// repeatedly wedge the harness itself.
+// Supervisor is the campaign orchestrator (Engine.RunCampaign is its
+// one-worker run): a point-level worker pool, an append-only checksummed
+// checkpoint journal for interrupt/resume, and per-point watchdogs that
+// retry and ultimately quarantine points which repeatedly wedge the
+// harness itself.
 type Supervisor = core.Supervisor
 
 // SupervisorOptions configures a supervised campaign.

@@ -26,7 +26,7 @@ import (
 // Everything here is deterministic given Options.Seed: a trial's seed
 // depends only on (point index, trial index), the stopping index is a pure
 // function of the ordered outcome prefix, and refinement grants are a pure
-// function of the phase-1 results. The serial engine, the supervised
+// function of the phase-1 results. A serial (Workers: 1) run, a wider
 // worker pool and an interrupted-then-resumed campaign therefore produce
 // identical CampaignResults.
 
@@ -80,15 +80,6 @@ func (e *Engine) InjectPointAdaptive(ctx context.Context, p Point, pointIdx int)
 		pr.Counts.Add(t.Outcome)
 	}
 	return pr, nil
-}
-
-// injectAuto dispatches to the adaptive or fixed-budget injector according
-// to Options.AdaptiveTrials.
-func (e *Engine) injectAuto(ctx context.Context, p Point, pointIdx int) (PointResult, error) {
-	if e.opts.Adaptive.Enabled {
-		return e.InjectPointAdaptive(ctx, p, pointIdx)
-	}
-	return e.injectPointFiltered(ctx, p, pointIdx, e.opts.TrialsPerPoint, nil)
 }
 
 // runTrialsAdaptive executes trials [from, from+budget) in waves, feeding
@@ -287,36 +278,4 @@ func (e *Engine) emitRefined(idx int, pr, prior PointResult) {
 		Trials: len(pr.Trials),
 		Extra:  len(pr.Trials) - len(prior.Trials),
 	})
-}
-
-// refineMeasuredSerial runs the refinement pass in place over a serial
-// campaign's measured slice. idxs[i], when non-nil, is measured[i]'s
-// campaign injection index (the ML loop's shuffled order); a nil idxs
-// means measured[i] is point i (the direct path).
-func (e *Engine) refineMeasuredSerial(measured []PointResult, idxs []int) {
-	phase1 := make(map[int]PointResult, len(measured))
-	pos := make(map[int]int, len(measured))
-	for i, pr := range measured {
-		idx := i
-		if idxs != nil {
-			idx = idxs[i]
-		}
-		phase1[idx] = pr
-		pos[idx] = i
-	}
-	grants := e.refineGrants(phase1)
-	if len(grants) == 0 {
-		return
-	}
-	e.emit(PhaseChanged{Phase: CampaignRefining, Points: len(grants)})
-	for _, g := range grants {
-		i := pos[g.Idx]
-		prior := measured[i]
-		pr, err := e.RefinePoint(context.Background(), prior.Point, g.Idx, prior, g.Extra)
-		if err != nil {
-			return
-		}
-		measured[i] = pr
-		e.emitRefined(g.Idx, pr, prior)
-	}
 }

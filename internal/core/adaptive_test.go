@@ -111,9 +111,9 @@ func TestAdaptiveSavesTrials(t *testing.T) {
 		total, budget, 100*(1-float64(total)/float64(budget)))
 }
 
-// TestAdaptiveSerialMatchesSupervised: with adaptive budgets on, the
-// supervised parallel runner (including its refinement pass) must be
-// bit-identical to the serial RunCampaign.
+// TestAdaptiveSerialMatchesSupervised: with adaptive budgets on, a
+// four-worker supervised run (including its refinement pass) must be
+// bit-identical to RunCampaign, the one-worker run.
 func TestAdaptiveSerialMatchesSupervised(t *testing.T) {
 	opts := adaptiveTestOptions()
 	serial, err := supTestEngine(t, opts).RunCampaign()

@@ -46,9 +46,9 @@ type CampaignResult struct {
 
 // campaignPlan is the profiled-and-pruned injection space of one campaign:
 // the points left to inject plus the pruning accounting already filled into
-// a fresh CampaignResult. Both RunCampaign and the Supervisor start from a
-// plan, so an interrupted supervised campaign resumes over exactly the
-// point list an uninterrupted run would have used.
+// a fresh CampaignResult. Every Supervisor run starts from a plan, so an
+// interrupted campaign resumes over exactly the point list an
+// uninterrupted run would have used.
 type campaignPlan struct {
 	res    *CampaignResult
 	points []Point
@@ -113,49 +113,26 @@ func (p *campaignPlan) finish() *CampaignResult {
 	return res
 }
 
-// RunCampaign executes the full FastFIT pipeline: profile, prune, inject,
-// learn. Points are injected serially (parallelism lives inside each
-// point); for a cancellable, checkpointed, point-parallel campaign use a
-// Supervisor instead.
+// RunCampaign executes the full FastFIT pipeline — profile, prune,
+// inject, learn — as a Workers: 1 supervised run: points are injected one
+// at a time in campaign order (parallelism lives inside each point), the
+// serial reference that point-parallel, sharded and resumed campaigns all
+// reproduce. A point the harness quarantines is an error naming it; for a
+// checkpointed, cancellable, point-parallel campaign or a
+// complete-with-skips report, use a Supervisor directly.
 func (e *Engine) RunCampaign() (*CampaignResult, error) {
-	e.emitCampaignStarted()
-	plan, err := e.planCampaign()
+	sup, err := NewSupervisor(e, SupervisorOptions{Workers: 1}).Run(context.Background())
 	if err != nil {
 		return nil, err
 	}
-	res, points := plan.res, plan.points
-	if e.opts.ML.Pruning {
-		lr := e.LearnCampaign(points)
-		res.Learn = &lr
-		res.Measured = lr.Measured
-		res.Predicted = lr.Predicted
-		res.MLReduction = lr.Reduction
-		res.VerifyAccuracy = lr.VerifyAccuracy
-		// The refinement pass runs after the learn loop so the model
-		// trains on exactly the phase-1 measurements (what a resumed
-		// campaign can reconstruct from its journal); refined records then
-		// replace the phase-1 ones in Measured in place.
-		e.refineMeasuredSerial(res.Measured, lr.MeasuredIdx)
-	} else {
-		e.emit(PhaseChanged{Phase: CampaignInjecting, Points: len(points)})
-		for i, p := range points {
-			e.emit(PointStarted{Index: i, Point: p})
-			pr, _ := e.injectAuto(context.Background(), p, i)
-			e.emitSettled(i, pr, false)
-			res.Measured = append(res.Measured, pr)
-			e.emit(PointCompleted{Index: i, Result: pr, Completed: i + 1, Total: len(points)})
+	if len(sup.Quarantined) > 0 {
+		names := make([]string, len(sup.Quarantined))
+		for i, q := range sup.Quarantined {
+			names[i] = fmt.Sprintf("point %d (%s): %s", q.Index, q.Point.String(), q.Err)
 		}
-		e.refineMeasuredSerial(res.Measured, nil)
+		return nil, fmt.Errorf("campaign quarantined %d point(s): %s", len(names), strings.Join(names, "; "))
 	}
-	fin := plan.finish()
-	e.emit(e.stats.snapshot())
-	e.emit(CampaignFinished{
-		App:       fin.AppName,
-		Injected:  fin.Injected,
-		Predicted: fin.PredictedN,
-		Counts:    OutcomeBreakdown(fin.Measured),
-	})
-	return fin, nil
+	return sup.CampaignResult, nil
 }
 
 // Summary renders the campaign's pruning accounting as a one-line record

@@ -6,28 +6,36 @@ import (
 	"fmt"
 	"hash/fnv"
 	"os"
-	"path/filepath"
-	"strings"
-	"sync"
+	"slices"
 
 	"github.com/fastfit/fastfit/internal/apps"
 	"github.com/fastfit/fastfit/internal/fault"
+	"github.com/fastfit/fastfit/internal/recfile"
 )
 
-// A campaign checkpoint is an append-only JSONL journal: a header line
-// binding the file to one campaign fingerprint, followed by one line per
-// completed (or quarantined) injection point. Appends are single writes of
-// whole lines, so a crash can at worst leave one torn trailing line, which
-// loading tolerates; the header itself is created via write-to-temp-then-
-// rename so a half-written journal is never observed under the final path.
+// A campaign checkpoint is an append-only journal in the shared recfile
+// grammar (internal/recfile): a header record binding the file to one
+// campaign fingerprint, then one record per completed ("point"), refined
+// ("refine") or quarantined ("quarantine") injection point. recfile owns
+// the file discipline — temp-and-rename create, per-record CRC, torn-tail
+// repair — so a crash can at worst leave one torn trailing record, while
+// corruption anywhere before it is refused with an error naming the byte
+// offset. Records are first-write-wins per (kind, index), like the
+// distributed coordinator's WAL: a replayed append changes nothing.
 
-// checkpointVersion identifies the journal's on-disk schema.
-const checkpointVersion = 1
+// checkpointVersion identifies the journal's on-disk schema. Version 1
+// journals were unframed JSONL; they are refused with
+// ErrCheckpointVersion, never read.
+const checkpointVersion = 2
 
 // ErrCheckpointMismatch reports a checkpoint whose fingerprint does not
 // match the campaign being run — a stale journal from a different app,
 // configuration, seed or pruning setup must never be merged.
 var ErrCheckpointMismatch = errors.New("checkpoint fingerprint mismatch")
+
+// ErrCheckpointVersion reports a checkpoint journal written in a schema
+// this build does not read.
+var ErrCheckpointVersion = errors.New("unsupported checkpoint version")
 
 // CampaignFingerprint identifies one campaign for checkpoint purposes: the
 // application, its configuration, every option that shapes the injection
@@ -70,17 +78,14 @@ type ckptHeader struct {
 	Total       int    `json:"totalPoints"` // points scheduled for injection
 }
 
+// ckptPoint is a "point" record — a completed point's phase-1 result —
+// or a "refine" record: the same point after the adaptive refinement pass
+// extended its trial list. A resumed campaign trains its learn loop on the
+// point record's trials and restores the refined ones on top.
 type ckptPoint struct {
-	Kind   string          `json:"kind"` // "point"
+	Kind   string          `json:"kind"` // "point" or "refine"
 	Index  int             `json:"index"`
 	Result pointResultJSON `json:"result"`
-	// Base is the point's phase-1 trial count under adaptive budgets: the
-	// prefix length the settling rule stopped at (or the full budget). A
-	// refined point is journaled as a second record for the same index
-	// whose trial list extends past Base; a resumed campaign replays
-	// Trials[:Base] through the learn loop so the model retraces the
-	// uninterrupted path. Zero (legacy records) means all trials.
-	Base int `json:"baseTrials,omitempty"`
 }
 
 type ckptQuarantine struct {
@@ -101,241 +106,253 @@ type QuarantinedPoint struct {
 	Err      string // last harness failure
 }
 
+// PointRecord is one completed injection point in journal form — the unit
+// a checkpoint journal stores and a worker shard streams to its
+// coordinator.
+type PointRecord struct {
+	Index  int
+	Result PointResult
+}
+
+// EncodeJournalPoint renders one completed point as a checkpoint-journal
+// "point" payload — the wire form worker shards stream to the
+// coordinator, identical to what AppendResult journals.
+func EncodeJournalPoint(rec PointRecord) ([]byte, error) {
+	return json.Marshal(ckptPoint{Kind: "point", Index: rec.Index, Result: pointResultToJSON(rec.Result)})
+}
+
+// DecodeJournalPoint parses one "point" payload, validating every
+// enum-valued field; malformed input returns a descriptive error, never a
+// panic.
+func DecodeJournalPoint(payload []byte) (PointRecord, error) {
+	return decodeJournalPoint(payload, "point")
+}
+
+func decodeJournalPoint(payload []byte, kind string) (PointRecord, error) {
+	var rec ckptPoint
+	if err := json.Unmarshal(payload, &rec); err != nil {
+		return PointRecord{}, fmt.Errorf("journal %s record: %w", kind, err)
+	}
+	if rec.Kind != kind {
+		return PointRecord{}, fmt.Errorf("journal record kind %q, want %q", rec.Kind, kind)
+	}
+	if rec.Index < 0 {
+		return PointRecord{}, fmt.Errorf("journal %s record: negative index %d", kind, rec.Index)
+	}
+	pr, err := pointResultFromJSON(rec.Result)
+	if err != nil {
+		return PointRecord{}, fmt.Errorf("journal %s record index %d: %w", kind, rec.Index, err)
+	}
+	return PointRecord{Index: rec.Index, Result: pr}, nil
+}
+
+// EncodeJournalQuarantine renders one poison point as a checkpoint-journal
+// "quarantine" payload.
+func EncodeJournalQuarantine(q QuarantinedPoint) ([]byte, error) {
+	return json.Marshal(journalQuarantine(q))
+}
+
+func journalQuarantine(q QuarantinedPoint) ckptQuarantine {
+	return ckptQuarantine{Kind: "quarantine", Index: q.Index,
+		Point: pointToJSON(q.Point), Attempts: q.Attempts, Err: q.Err}
+}
+
+// DecodeJournalQuarantine parses one "quarantine" payload.
+func DecodeJournalQuarantine(payload []byte) (QuarantinedPoint, error) {
+	var rec ckptQuarantine
+	if err := json.Unmarshal(payload, &rec); err != nil {
+		return QuarantinedPoint{}, fmt.Errorf("journal quarantine record: %w", err)
+	}
+	if rec.Kind != "quarantine" {
+		return QuarantinedPoint{}, fmt.Errorf("journal record kind %q, want %q", rec.Kind, "quarantine")
+	}
+	if rec.Index < 0 {
+		return QuarantinedPoint{}, fmt.Errorf("journal quarantine record: negative index %d", rec.Index)
+	}
+	return QuarantinedPoint{Point: pointFromJSON(rec.Point), Index: rec.Index,
+		Attempts: rec.Attempts, Err: rec.Err}, nil
+}
+
 // CheckpointState is the replayable content of a checkpoint journal.
 type CheckpointState struct {
-	Header      ckptHeader
-	Results     map[int]PointResult // completed points by injection index
+	Header ckptHeader
+	// Results holds each restored point, refined trials included.
+	Results     map[int]PointResult
 	Quarantined map[int]QuarantinedPoint
-	// BaseTrials is each restored point's phase-1 trial count (adaptive
-	// campaigns journal refined points as longer records for the same
-	// index; duplicate indices are last-wins, like Results).
+	// BaseTrials is each restored point's phase-1 trial count: the length
+	// of its "point" record. A "refine" record extends Results past it.
 	BaseTrials map[int]int
-	// TornTail reports that a torn trailing line (interrupted append) was
-	// discarded while loading.
+	// TornTail reports that a torn trailing record (interrupted append)
+	// was discarded while loading.
 	TornTail bool
-	// validLen is the byte length of the journal up to and including its
-	// last complete line; OpenCheckpoint truncates a torn tail to it.
-	validLen int64
+
+	contents *recfile.Contents
 }
 
 // Checkpoint is an open campaign journal accepting appends. Methods are
 // safe for concurrent use by the supervisor's point workers.
 type Checkpoint struct {
-	path   string
-	header ckptHeader
-
-	mu sync.Mutex
-	f  *os.File
+	log *recfile.Log
 }
 
 // Path returns the journal's file path.
-func (c *Checkpoint) Path() string { return c.path }
+func (c *Checkpoint) Path() string { return c.log.Path() }
 
-// CreateCheckpoint atomically creates a fresh journal at path: the header
-// is written to a temporary file in the same directory and renamed into
-// place, then the file is reopened for appends.
+// CreateCheckpoint atomically creates a fresh journal at path holding only
+// its header, and opens it for appends.
 func CreateCheckpoint(path, fingerprint, app string, ranks, total int) (*Checkpoint, error) {
-	hdr := ckptHeader{Kind: "header", Version: checkpointVersion, Fingerprint: fingerprint,
-		App: app, Ranks: ranks, Total: total}
-	line, err := json.Marshal(hdr)
+	log, err := recfile.Create(path, ckptHeader{Kind: "header", Version: checkpointVersion,
+		Fingerprint: fingerprint, App: app, Ranks: ranks, Total: total})
 	if err != nil {
-		return nil, fmt.Errorf("encoding checkpoint header: %w", err)
+		return nil, err
 	}
-	tmp, err := os.CreateTemp(filepath.Dir(path), ".ckpt-*")
-	if err != nil {
-		return nil, fmt.Errorf("creating checkpoint: %w", err)
-	}
-	tmpName := tmp.Name()
-	if _, err := tmp.Write(append(line, '\n')); err == nil {
-		err = tmp.Sync()
-	}
-	if cerr := tmp.Close(); err == nil {
-		err = cerr
-	}
-	if err == nil {
-		err = os.Rename(tmpName, path)
-	}
-	if err != nil {
-		os.Remove(tmpName)
-		return nil, fmt.Errorf("creating checkpoint %s: %w", path, err)
-	}
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("reopening checkpoint %s: %w", path, err)
-	}
-	return &Checkpoint{path: path, header: hdr, f: f}, nil
+	return &Checkpoint{log: log}, nil
 }
 
 // LoadCheckpointState reads and validates a journal, rejecting one whose
-// fingerprint does not match. A torn trailing line (the signature of a
-// crash mid-append) is discarded; corruption anywhere else is an error.
+// fingerprint does not match. A torn trailing record (the signature of a
+// crash mid-append) is discarded; corruption anywhere else, and any record
+// whose index lies outside the header's point count, is an error naming
+// the record's byte offset.
 func LoadCheckpointState(path, fingerprint string) (*CheckpointState, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	if len(data) == 0 {
-		return nil, fmt.Errorf("checkpoint %s: empty file", path)
+	if len(data) > 0 && data[0] == '{' {
+		return nil, fmt.Errorf("checkpoint %s is an unframed version 1 journal; delete it and rerun the campaign: %w",
+			path, ErrCheckpointVersion)
 	}
-	lines := strings.Split(string(data), "\n")
-	// A well-formed journal ends with "\n", leaving one empty trailing
-	// element; anything non-empty there is a torn final append.
-	torn := lines[len(lines)-1] != ""
-	validLen := int64(len(data))
-	if torn {
-		validLen -= int64(len(lines[len(lines)-1]))
-	}
-	lines = lines[:len(lines)-1]
-
-	st := &CheckpointState{
-		Results:     make(map[int]PointResult),
-		Quarantined: make(map[int]QuarantinedPoint),
-		BaseTrials:  make(map[int]int),
-		TornTail:    torn,
-		validLen:    validLen,
-	}
-	for i, line := range lines {
-		if line == "" {
-			continue
-		}
-		var kind struct {
-			Kind string `json:"kind"`
-		}
-		if err := json.Unmarshal([]byte(line), &kind); err != nil {
-			return nil, fmt.Errorf("checkpoint %s line %d: corrupt record: %w", path, i+1, err)
-		}
-		switch kind.Kind {
-		case "header":
-			if i != 0 {
-				return nil, fmt.Errorf("checkpoint %s line %d: unexpected second header", path, i+1)
-			}
-			if err := json.Unmarshal([]byte(line), &st.Header); err != nil {
-				return nil, fmt.Errorf("checkpoint %s: corrupt header: %w", path, err)
-			}
-			if st.Header.Version != checkpointVersion {
-				return nil, fmt.Errorf("checkpoint %s: unsupported version %d (want %d)", path, st.Header.Version, checkpointVersion)
-			}
-			if st.Header.Fingerprint != fingerprint {
-				return nil, fmt.Errorf("checkpoint %s was written by a different campaign (app %q, fingerprint %s, want %s): %w",
-					path, st.Header.App, st.Header.Fingerprint, fingerprint, ErrCheckpointMismatch)
-			}
-		case "point":
-			if i == 0 {
-				return nil, fmt.Errorf("checkpoint %s: missing header line", path)
-			}
-			var rec ckptPoint
-			if err := json.Unmarshal([]byte(line), &rec); err != nil {
-				return nil, fmt.Errorf("checkpoint %s line %d: corrupt point record: %w", path, i+1, err)
-			}
-			pr, err := pointResultFromJSON(rec.Result)
-			if err != nil {
-				return nil, fmt.Errorf("checkpoint %s line %d: %w", path, i+1, err)
-			}
-			base := rec.Base
-			if base == 0 {
-				base = len(pr.Trials)
-			}
-			if base < 0 || base > len(pr.Trials) {
-				return nil, fmt.Errorf("checkpoint %s line %d: baseTrials %d outside trial list of %d",
-					path, i+1, rec.Base, len(pr.Trials))
-			}
-			st.Results[rec.Index] = pr
-			st.BaseTrials[rec.Index] = base
-		case "quarantine":
-			if i == 0 {
-				return nil, fmt.Errorf("checkpoint %s: missing header line", path)
-			}
-			var rec ckptQuarantine
-			if err := json.Unmarshal([]byte(line), &rec); err != nil {
-				return nil, fmt.Errorf("checkpoint %s line %d: corrupt quarantine record: %w", path, i+1, err)
-			}
-			st.Quarantined[rec.Index] = QuarantinedPoint{
-				Point: pointFromJSON(rec.Point), Index: rec.Index,
-				Attempts: rec.Attempts, Err: rec.Err,
-			}
-		default:
-			return nil, fmt.Errorf("checkpoint %s line %d: unknown record kind %q", path, i+1, kind.Kind)
-		}
-	}
-	if st.Header.Kind != "header" {
-		return nil, fmt.Errorf("checkpoint %s: missing header line", path)
+	st, err := loadCheckpoint(data, fingerprint)
+	if err != nil {
+		return nil, fmt.Errorf("checkpoint %s: %w", path, err)
 	}
 	return st, nil
 }
 
+func loadCheckpoint(data []byte, fingerprint string) (*CheckpointState, error) {
+	c, err := recfile.Parse(data)
+	if err != nil {
+		return nil, err
+	}
+	if len(c.Records) == 0 || c.Records[0].Kind != "header" {
+		return nil, errors.New("missing header record")
+	}
+	st := &CheckpointState{
+		Results:     make(map[int]PointResult),
+		Quarantined: make(map[int]QuarantinedPoint),
+		BaseTrials:  make(map[int]int),
+		TornTail:    c.TornTail,
+		contents:    c,
+	}
+	h := &st.Header
+	if err := c.Records[0].Decode(h); err != nil {
+		return nil, err
+	}
+	if h.Version != checkpointVersion {
+		return nil, fmt.Errorf("version %d (want %d): %w", h.Version, checkpointVersion, ErrCheckpointVersion)
+	}
+	if h.Fingerprint != fingerprint {
+		return nil, fmt.Errorf("written by a different campaign (app %q, fingerprint %s, want %s): %w",
+			h.App, h.Fingerprint, fingerprint, ErrCheckpointMismatch)
+	}
+	inRange := func(r recfile.Record, idx int) error {
+		if idx < 0 || idx >= h.Total {
+			return r.Errorf("%s index %d outside campaign of %d points", r.Kind, idx, h.Total)
+		}
+		return nil
+	}
+	for _, r := range c.Records[1:] {
+		switch r.Kind {
+		case "point", "refine":
+			rec, err := decodeJournalPoint(r.Payload, r.Kind)
+			if err != nil {
+				return nil, r.Errorf("%w", err)
+			}
+			if err := inRange(r, rec.Index); err != nil {
+				return nil, err
+			}
+			if err := st.restore(r, rec); err != nil {
+				return nil, err
+			}
+		case "quarantine":
+			q, err := DecodeJournalQuarantine(r.Payload)
+			if err != nil {
+				return nil, r.Errorf("%w", err)
+			}
+			if err := inRange(r, q.Index); err != nil {
+				return nil, err
+			}
+			if _, dup := st.Quarantined[q.Index]; !dup {
+				st.Quarantined[q.Index] = q
+			}
+		case "header":
+			return nil, r.Errorf("unexpected second header")
+		default:
+			return nil, r.Errorf("unknown record kind %q", r.Kind)
+		}
+	}
+	return st, nil
+}
+
+// restore applies one "point" or "refine" record, first write wins. A
+// refine record must follow its point record and extend that point's
+// trial list.
+func (st *CheckpointState) restore(r recfile.Record, rec PointRecord) error {
+	base, have := st.BaseTrials[rec.Index]
+	if r.Kind == "point" {
+		if !have {
+			st.Results[rec.Index] = rec.Result
+			st.BaseTrials[rec.Index] = len(rec.Result.Trials)
+		}
+		return nil
+	}
+	if !have {
+		return r.Errorf("refine record for index %d precedes its point record", rec.Index)
+	}
+	prior := st.Results[rec.Index]
+	if len(rec.Result.Trials) <= base || !slices.Equal(rec.Result.Trials[:base], prior.Trials[:base]) {
+		return r.Errorf("refine record for index %d does not extend its point record's %d trials", rec.Index, base)
+	}
+	if len(prior.Trials) == base {
+		st.Results[rec.Index] = rec.Result
+	}
+	return nil
+}
+
 // OpenCheckpoint loads an existing journal (validating its fingerprint)
-// and reopens it for appends.
+// and reopens it for appends, truncating a torn tail first.
 func OpenCheckpoint(path, fingerprint string) (*Checkpoint, *CheckpointState, error) {
 	st, err := LoadCheckpointState(path, fingerprint)
 	if err != nil {
 		return nil, nil, err
 	}
-	if st.TornTail {
-		// Discard the torn final append so the journal ends on a complete
-		// line before new records go after it.
-		if err := os.Truncate(path, st.validLen); err != nil {
-			return nil, nil, fmt.Errorf("repairing checkpoint %s: %w", path, err)
-		}
-	}
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
+	log, err := recfile.Reopen(path, st.contents)
 	if err != nil {
-		return nil, nil, fmt.Errorf("reopening checkpoint %s: %w", path, err)
+		return nil, nil, err
 	}
-	return &Checkpoint{path: path, header: st.Header, f: f}, st, nil
+	return &Checkpoint{log: log}, st, nil
 }
 
-// appendLine writes one JSONL record in a single write.
-func (c *Checkpoint) appendLine(v any) error {
-	line, err := json.Marshal(v)
-	if err != nil {
-		return fmt.Errorf("encoding checkpoint record: %w", err)
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.f == nil {
-		return fmt.Errorf("checkpoint %s: already closed", c.path)
-	}
-	if _, err := c.f.Write(append(line, '\n')); err != nil {
-		return fmt.Errorf("appending to checkpoint %s: %w", c.path, err)
-	}
-	return nil
+// AppendResult journals one completed injection point's phase-1 result.
+func (c *Checkpoint) AppendResult(index int, pr PointResult) error {
+	return c.log.Append(ckptPoint{Kind: "point", Index: index, Result: pointResultToJSON(pr)})
 }
 
-// AppendResult journals one completed injection point. base is the
-// phase-1 trial count (see ckptPoint.Base); pass len(pr.Trials) for a
-// non-adaptive or unrefined record.
-func (c *Checkpoint) AppendResult(index int, pr PointResult, base int) error {
-	return c.appendLine(ckptPoint{Kind: "point", Index: index, Result: pointResultToJSON(pr), Base: base})
+// AppendRefine journals a point the refinement pass extended; pr is the
+// full refined result.
+func (c *Checkpoint) AppendRefine(index int, pr PointResult) error {
+	return c.log.Append(ckptPoint{Kind: "refine", Index: index, Result: pointResultToJSON(pr)})
 }
 
 // AppendQuarantine journals one poison point.
 func (c *Checkpoint) AppendQuarantine(q QuarantinedPoint) error {
-	return c.appendLine(ckptQuarantine{Kind: "quarantine", Index: q.Index,
-		Point: pointToJSON(q.Point), Attempts: q.Attempts, Err: q.Err})
+	return c.log.Append(journalQuarantine(q))
 }
 
 // Sync flushes journal appends to stable storage.
-func (c *Checkpoint) Sync() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.f == nil {
-		return nil
-	}
-	return c.f.Sync()
-}
+func (c *Checkpoint) Sync() error { return c.log.Sync() }
 
 // Close syncs and closes the journal. The file stays on disk: deleting it
 // after a successful campaign is the caller's decision.
-func (c *Checkpoint) Close() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.f == nil {
-		return nil
-	}
-	err := c.f.Sync()
-	if cerr := c.f.Close(); err == nil {
-		err = cerr
-	}
-	c.f = nil
-	return err
-}
+func (c *Checkpoint) Close() error { return c.log.Close() }

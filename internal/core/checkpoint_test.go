@@ -1,7 +1,9 @@
 package core
 
 import (
+	"bytes"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -11,6 +13,7 @@ import (
 	"github.com/fastfit/fastfit/internal/classify"
 	"github.com/fastfit/fastfit/internal/fault"
 	"github.com/fastfit/fastfit/internal/mpi"
+	"github.com/fastfit/fastfit/internal/recfile"
 )
 
 func ckptTestPoints() []Point {
@@ -40,7 +43,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ck.AppendResult(0, ckptTestResult(pts[0]), 2); err != nil {
+	if err := ck.AppendResult(0, ckptTestResult(pts[0])); err != nil {
 		t.Fatal(err)
 	}
 	if err := ck.AppendQuarantine(QuarantinedPoint{Point: pts[1], Index: 1, Attempts: 3, Err: "harness failure: runner panic: boom"}); err != nil {
@@ -99,7 +102,7 @@ func TestCheckpointToleratesTornTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ck.AppendResult(0, ckptTestResult(pts[0]), 2); err != nil {
+	if err := ck.AppendResult(0, ckptTestResult(pts[0])); err != nil {
 		t.Fatal(err)
 	}
 	ck.Close()
@@ -125,7 +128,7 @@ func TestCheckpointToleratesTornTail(t *testing.T) {
 		t.Fatalf("results after torn tail: %d", len(st.Results))
 	}
 	// Appends after the repair must land on a fresh line and reload cleanly.
-	if err := ck2.AppendResult(1, ckptTestResult(pts[1]), 2); err != nil {
+	if err := ck2.AppendResult(1, ckptTestResult(pts[1])); err != nil {
 		t.Fatal(err)
 	}
 	ck2.Close()
@@ -147,37 +150,192 @@ func TestCheckpointRejectsCorruptMiddleLine(t *testing.T) {
 		t.Fatal(err)
 	}
 	ck.Close()
+	hdr, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
 	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		t.Fatal(err)
 	}
 	f.WriteString("{corrupt!!\n")
-	f.WriteString(`{"kind":"point","index":0,"result":{"point":{},"trials":[]}}` + "\n")
+	f.Write(frameJournal(`{"kind":"point","index":0,"result":{"point":{},"trials":[]}}`))
 	f.Close()
 
-	if _, err := LoadCheckpointState(path, fp); err == nil {
+	_, err = LoadCheckpointState(path, fp)
+	if err == nil {
 		t.Fatal("corrupt middle line must fail loudly")
+	}
+	if want := fmt.Sprintf("offset %d", len(hdr)); !strings.Contains(err.Error(), want) {
+		t.Fatalf("error %q does not name %q", err, want)
 	}
 }
 
+// frameJournal renders journal payloads as recfile record lines.
+func frameJournal(payloads ...string) []byte {
+	var out []byte
+	for _, p := range payloads {
+		out = append(out, recfile.EncodeLine([]byte(p))...)
+	}
+	return out
+}
+
+const testCkptHeader = `{"kind":"header","version":2,"fingerprint":"fp","totalPoints":3}`
+
 func TestCheckpointRejectsMissingHeaderAndBadRecords(t *testing.T) {
 	dir := t.TempDir()
-	cases := map[string]string{
-		"empty":          "",
-		"no header":      `{"kind":"point","index":0,"result":{"point":{},"trials":[]}}` + "\n",
-		"unknown kind":   `{"kind":"header","version":1,"fingerprint":"fp"}` + "\n" + `{"kind":"wat"}` + "\n",
-		"bad outcome":    `{"kind":"header","version":1,"fingerprint":"fp"}` + "\n" + `{"kind":"point","index":0,"result":{"point":{},"trials":[{"outcome":99}]}}` + "\n",
-		"version skew":   `{"kind":"header","version":42,"fingerprint":"fp"}` + "\n",
-		"double header":  `{"kind":"header","version":1,"fingerprint":"fp"}` + "\n" + `{"kind":"header","version":1,"fingerprint":"fp"}` + "\n",
-		"header-is-torn": `{"kind":"header","version":1,"fingerpr`,
+	// The second record of every two-record journal starts here.
+	second := fmt.Sprintf("offset %d", len(frameJournal(testCkptHeader)))
+	cases := []struct {
+		name    string
+		content []byte
+		want    string // substring of the error
+	}{
+		{"empty", nil, "empty file"},
+		{"no header", frameJournal(`{"kind":"point","index":0,"result":{"point":{},"trials":[]}}`), "missing header"},
+		{"unknown kind", frameJournal(testCkptHeader, `{"kind":"wat"}`), second},
+		{"bad outcome", frameJournal(testCkptHeader, `{"kind":"point","index":0,"result":{"point":{},"trials":[{"outcome":99}]}}`), second},
+		{"version skew", frameJournal(`{"kind":"header","version":42,"fingerprint":"fp"}`), "version 42"},
+		{"double header", frameJournal(testCkptHeader, testCkptHeader), second},
+		{"header-is-torn", frameJournal(testCkptHeader)[:30], "missing header"},
+		{"negative point index", frameJournal(testCkptHeader, `{"kind":"point","index":-1,"result":{"point":{},"trials":[]}}`), second},
+		{"point index past total", frameJournal(testCkptHeader, `{"kind":"point","index":3,"result":{"point":{},"trials":[]}}`), second},
+		{"negative quarantine index", frameJournal(testCkptHeader, `{"kind":"quarantine","index":-2,"point":{},"attempts":3,"error":"x"}`), second},
+		{"quarantine index past total", frameJournal(testCkptHeader, `{"kind":"quarantine","index":7,"point":{},"attempts":3,"error":"x"}`), second},
+		{"refine before point", frameJournal(testCkptHeader, `{"kind":"refine","index":0,"result":{"point":{},"trials":[{"outcome":0}]}}`), second},
 	}
-	for name, content := range cases {
-		path := filepath.Join(dir, strings.ReplaceAll(name, " ", "_"))
-		if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
+	for _, tc := range cases {
+		path := filepath.Join(dir, strings.ReplaceAll(tc.name, " ", "_"))
+		if err := os.WriteFile(path, tc.content, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := LoadCheckpointState(path, "fp"); err == nil {
-			t.Errorf("%s: want error, got none", name)
+		_, err := LoadCheckpointState(path, "fp")
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: got error %v, want one containing %q", tc.name, err, tc.want)
 		}
+	}
+}
+
+// ckptTestJournal writes a journal holding every record kind and returns
+// its bytes.
+func ckptTestJournal(t *testing.T, path, fp string) []byte {
+	t.Helper()
+	pts := ckptTestPoints()
+	ck, err := CreateCheckpoint(path, fp, "toy", 4, len(pts))
+	if err != nil {
+		t.Fatal(err)
+	}
+	p0 := ckptTestResult(pts[0])
+	refined := p0
+	refined.Trials = append(append([]TrialResult{}, p0.Trials...), TrialResult{Target: fault.TargetCount, Outcome: classify.SegFault})
+	refined.Counts.Add(classify.SegFault)
+	for _, err := range []error{
+		ck.AppendResult(0, p0),
+		ck.AppendQuarantine(QuarantinedPoint{Point: pts[1], Index: 1, Attempts: 3, Err: "wedged"}),
+		ck.AppendResult(2, ckptTestResult(pts[2])),
+		ck.AppendRefine(0, refined),
+		ck.Close(),
+	} {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
+// TestCheckpointRejectsEveryByteFlip: the journal is CRC-framed, so
+// flipping any single byte of any record but the last (whose newline, once
+// flipped, legitimately reads as a torn tail) must be refused with an error
+// naming the offset of the record that holds the byte.
+func TestCheckpointRejectsEveryByteFlip(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "c.ckpt")
+	valid := ckptTestJournal(t, path, "fp")
+	if _, err := LoadCheckpointState(path, "fp"); err != nil {
+		t.Fatalf("unmutated journal: %v", err)
+	}
+	lastLine := bytes.LastIndexByte(valid[:len(valid)-1], '\n') + 1
+	lineStart := 0
+	for i := 0; i < lastLine; i++ {
+		data := append([]byte{}, valid...)
+		data[i] ^= 0xff
+		_, err := loadCheckpoint(data, "fp")
+		if want := fmt.Sprintf("offset %d", lineStart); err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("byte %d flipped: got error %v, want one naming %q", i, err, want)
+		}
+		if valid[i] == '\n' {
+			lineStart = i + 1
+		}
+	}
+}
+
+func TestCheckpointDuplicatePointFirstWriteWins(t *testing.T) {
+	first := `{"kind":"point","index":0,"result":{"point":{},"trials":[{"outcome":0}]}}`
+	replay := `{"kind":"point","index":0,"result":{"point":{},"trials":[{"outcome":2},{"outcome":2}]}}`
+	st, err := loadCheckpoint(frameJournal(testCkptHeader, first, replay), "fp")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := st.Results[0]; len(got.Trials) != 1 || got.Trials[0].Outcome != classify.Success {
+		t.Fatalf("duplicate point record was not first-write-wins: %+v", got)
+	}
+	if st.BaseTrials[0] != 1 {
+		t.Fatalf("base trials %d, want 1", st.BaseTrials[0])
+	}
+}
+
+func TestCheckpointRefineRestoresRefinedTrials(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "c.ckpt")
+	ckptTestJournal(t, path, "fp")
+	st, err := LoadCheckpointState(path, "fp")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := st.Results[0]
+	if len(got.Trials) != 3 || got.Trials[2].Outcome != classify.SegFault || got.Counts.Total() != 3 {
+		t.Fatalf("refined trials not restored: %+v", got)
+	}
+	if st.BaseTrials[0] != 2 {
+		t.Fatalf("base trials %d, want the phase-1 count 2", st.BaseTrials[0])
+	}
+	if p1 := phase1Result(got, st.BaseTrials[0]); len(p1.Trials) != 2 || p1.Counts.Total() != 2 {
+		t.Fatalf("phase-1 prefix not recoverable: %+v", p1)
+	}
+	if len(st.Results[2].Trials) != 2 || st.BaseTrials[2] != 2 || len(st.Quarantined) != 1 {
+		t.Fatalf("other records disturbed: %+v", st)
+	}
+
+	// A refine record must extend its point's trials, not rewrite them.
+	rewrite := `{"kind":"refine","index":0,"result":{"point":{},"trials":[{"outcome":3},{"outcome":3}]}}`
+	point := `{"kind":"point","index":0,"result":{"point":{},"trials":[{"outcome":0}]}}`
+	if _, err := loadCheckpoint(frameJournal(testCkptHeader, point, rewrite), "fp"); err == nil ||
+		!strings.Contains(err.Error(), "does not extend") {
+		t.Fatalf("non-extending refine record: got %v", err)
+	}
+}
+
+func TestCheckpointRefusesVersion1(t *testing.T) {
+	dir := t.TempDir()
+	v1 := filepath.Join(dir, "v1.ckpt")
+	content := `{"kind":"header","version":1,"fingerprint":"fp","app":"is","ranks":8,"totalPoints":3}` + "\n" +
+		`{"kind":"point","index":0,"result":{"point":{},"trials":[]},"baseTrials":0}` + "\n"
+	if err := os.WriteFile(v1, []byte(content), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadCheckpointState(v1, "fp"); !errors.Is(err, ErrCheckpointVersion) {
+		t.Fatalf("unframed v1 journal: want ErrCheckpointVersion, got %v", err)
+	}
+	if _, _, err := OpenCheckpoint(v1, "fp"); !errors.Is(err, ErrCheckpointVersion) {
+		t.Fatalf("OpenCheckpoint of a v1 journal: want ErrCheckpointVersion, got %v", err)
+	}
+	framedV1 := filepath.Join(dir, "framed.ckpt")
+	if err := os.WriteFile(framedV1, frameJournal(`{"kind":"header","version":1,"fingerprint":"fp"}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadCheckpointState(framedV1, "fp"); !errors.Is(err, ErrCheckpointVersion) {
+		t.Fatalf("framed version-1 header: want ErrCheckpointVersion, got %v", err)
 	}
 }

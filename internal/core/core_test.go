@@ -288,7 +288,9 @@ func TestLearnCampaignThresholdBehaviour(t *testing.T) {
 		t.Fatal(err)
 	}
 	points, _ := e.Points()
-	lr := e.LearnCampaign(points)
+	lr := e.LearnCampaignWith(points, func(p Point, idx int) PointResult {
+		return e.InjectPoint(p, idx, opts.TrialsPerPoint)
+	})
 	if len(lr.Predicted) == 0 {
 		t.Fatalf("low threshold should leave predicted points (measured %d of %d)", len(lr.Measured), len(points))
 	}
@@ -301,7 +303,9 @@ func TestLearnCampaignThresholdBehaviour(t *testing.T) {
 	if _, err := e2.Profile(); err != nil {
 		t.Fatal(err)
 	}
-	lr2 := e2.LearnCampaign(points)
+	lr2 := e2.LearnCampaignWith(points, func(p Point, idx int) PointResult {
+		return e2.InjectPoint(p, idx, opts.TrialsPerPoint)
+	})
 	if len(lr2.Predicted) != 0 || !lr2.ExhaustedPoints {
 		t.Fatalf("unreachable threshold should exhaust points: predicted=%d exhausted=%v",
 			len(lr2.Predicted), lr2.ExhaustedPoints)

@@ -2,9 +2,7 @@ package core
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
-	"sync"
 )
 
 // Distributed-execution hooks. The distributed campaign service
@@ -17,76 +15,6 @@ import (
 // a point's phase-1 result is a pure function of (campaign fingerprint,
 // injection index), so any partition of the index space across processes
 // measures exactly what a single process would have measured.
-
-// PointRecord is one completed injection point in journal form — the unit
-// a checkpoint journal stores and a worker shard streams to its
-// coordinator. Base is the phase-1 trial count (see the checkpoint schema):
-// shards never refine, so for shard-produced records Base == len(Trials).
-type PointRecord struct {
-	Index  int
-	Result PointResult
-	Base   int
-}
-
-// EncodeJournalPoint renders one completed point as a checkpoint-journal
-// "point" line (no trailing newline) — the wire form worker shards stream
-// to the coordinator, identical to what AppendResult writes.
-func EncodeJournalPoint(rec PointRecord) ([]byte, error) {
-	return json.Marshal(ckptPoint{Kind: "point", Index: rec.Index,
-		Result: pointResultToJSON(rec.Result), Base: rec.Base})
-}
-
-// DecodeJournalPoint parses one checkpoint "point" line, validating every
-// enum-valued field; malformed input returns a descriptive error, never a
-// panic.
-func DecodeJournalPoint(line []byte) (PointRecord, error) {
-	var rec ckptPoint
-	if err := json.Unmarshal(line, &rec); err != nil {
-		return PointRecord{}, fmt.Errorf("journal point record: %w", err)
-	}
-	if rec.Kind != "point" {
-		return PointRecord{}, fmt.Errorf("journal record kind %q, want %q", rec.Kind, "point")
-	}
-	if rec.Index < 0 {
-		return PointRecord{}, fmt.Errorf("journal point record: negative index %d", rec.Index)
-	}
-	pr, err := pointResultFromJSON(rec.Result)
-	if err != nil {
-		return PointRecord{}, fmt.Errorf("journal point record index %d: %w", rec.Index, err)
-	}
-	base := rec.Base
-	if base == 0 {
-		base = len(pr.Trials)
-	}
-	if base < 0 || base > len(pr.Trials) {
-		return PointRecord{}, fmt.Errorf("journal point record index %d: baseTrials %d outside trial list of %d",
-			rec.Index, rec.Base, len(pr.Trials))
-	}
-	return PointRecord{Index: rec.Index, Result: pr, Base: base}, nil
-}
-
-// EncodeJournalQuarantine renders one poison point as a checkpoint-journal
-// "quarantine" line (no trailing newline).
-func EncodeJournalQuarantine(q QuarantinedPoint) ([]byte, error) {
-	return json.Marshal(ckptQuarantine{Kind: "quarantine", Index: q.Index,
-		Point: pointToJSON(q.Point), Attempts: q.Attempts, Err: q.Err})
-}
-
-// DecodeJournalQuarantine parses one checkpoint "quarantine" line.
-func DecodeJournalQuarantine(line []byte) (QuarantinedPoint, error) {
-	var rec ckptQuarantine
-	if err := json.Unmarshal(line, &rec); err != nil {
-		return QuarantinedPoint{}, fmt.Errorf("journal quarantine record: %w", err)
-	}
-	if rec.Kind != "quarantine" {
-		return QuarantinedPoint{}, fmt.Errorf("journal record kind %q, want %q", rec.Kind, "quarantine")
-	}
-	if rec.Index < 0 {
-		return QuarantinedPoint{}, fmt.Errorf("journal quarantine record: negative index %d", rec.Index)
-	}
-	return QuarantinedPoint{Point: pointFromJSON(rec.Point), Index: rec.Index,
-		Attempts: rec.Attempts, Err: rec.Err}, nil
-}
 
 // PlanInfo identifies a campaign's planned injection space without running
 // a single trial: the checkpoint fingerprint every shard journal is keyed
@@ -176,16 +104,19 @@ type RangeResult struct {
 // RunRange executes the supervised campaign restricted to indexes [lo, hi)
 // of the campaign's injection order — the pruned point list, or the
 // seed-shuffled order when ML pruning is on (the order every trial seed
-// keys off). It is the worker-shard half of the distributed service: each
-// completed point is delivered to sink (when non-nil) in completion order
-// as it lands, and the full set is returned in index order. skip marks
-// indexes already measured elsewhere (a re-leased range resumes past its
-// dead shard's acked records). A sink error aborts the run.
+// keys off). It is the worker-shard half of the distributed service: the
+// range's points go through the same worker pool, watchdogs and retries as
+// a Run, each completed point is delivered to sink (when non-nil) in
+// completion order as it lands, and the full set is returned in index
+// order. skip marks indexes already measured elsewhere (a re-leased range
+// resumes past its dead shard's acked records). A sink error aborts the
+// run.
 //
 // No checkpoint journalling, refinement, learning or prediction happens
 // here: those passes consume the whole campaign's phase-1 results, so they
-// run once at the merge step (internal/dist), which is what keeps a
-// sharded campaign byte-identical to a single-process one.
+// run once at the merge step (internal/dist), a Workers: 1 Run over the
+// collected records, which is what keeps a sharded campaign byte-identical
+// to a single-process one.
 func (s *Supervisor) RunRange(ctx context.Context, lo, hi int, skip map[int]bool, sink func(PointRecord) error) (*RangeResult, error) {
 	e := s.eng
 	e.emitCampaignStarted()
@@ -216,28 +147,7 @@ func (s *Supervisor) RunRange(ctx context.Context, lo, hi int, skip map[int]bool
 		sink:    sink,
 	}
 	e.emit(PhaseChanged{Phase: CampaignInjecting, Points: len(todo)})
-	idxCh := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < s.opts.Workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for idx := range idxCh {
-				s.runPoint(ctx, points[idx], idx, run)
-			}
-		}()
-	}
-	for _, idx := range todo {
-		if ctx.Err() != nil || run.err() != nil {
-			break
-		}
-		select {
-		case idxCh <- idx:
-		case <-ctx.Done():
-		}
-	}
-	close(idxCh)
-	wg.Wait()
+	s.injectPoints(ctx, run, todo, func(idx int) Point { return points[idx] })
 
 	if err := run.err(); err != nil {
 		return nil, err
@@ -250,7 +160,7 @@ func (s *Supervisor) RunRange(ctx context.Context, lo, hi int, skip map[int]bool
 	var measured []PointResult
 	for _, idx := range sortedIdxs(run.results) {
 		pr := run.results[idx]
-		res.Records = append(res.Records, PointRecord{Index: idx, Result: pr, Base: run.base[idx]})
+		res.Records = append(res.Records, PointRecord{Index: idx, Result: pr})
 		measured = append(measured, pr)
 	}
 	for _, idx := range sortedIdxs(run.quar) {

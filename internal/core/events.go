@@ -7,9 +7,9 @@ import (
 	"github.com/fastfit/fastfit/internal/classify"
 )
 
-// The campaign observation API. Every component that executes a campaign —
-// the serial engine (RunCampaign), the ML learn loop and the supervisor —
-// publishes its progress as a single typed stream of Event values delivered
+// The campaign observation API. Everything that executes a campaign — the
+// supervisor's worker pool (RunCampaign is its one-worker run) and the ML
+// learn loop inside it — publishes its progress as a single typed stream of Event values delivered
 // to the Observer set in Options.Observer. Structured events are what turn
 // a fault-injection harness from a batch job into a measurement instrument
 // (FINJ, Netti et al., makes the same argument): running outcome

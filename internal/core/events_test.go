@@ -174,8 +174,8 @@ func TestStreamStatsMatchesBreakdownML(t *testing.T) {
 	}
 }
 
-// TestEngineRunCampaignEventStream: the serial engine path emits the same
-// well-ordered stream (no supervisor involved).
+// TestEngineRunCampaignEventStream: RunCampaign, the one-worker supervised
+// run, emits the same well-ordered stream.
 func TestEngineRunCampaignEventStream(t *testing.T) {
 	opts := supTestOptions()
 	stats := NewStreamStats()

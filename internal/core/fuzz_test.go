@@ -2,9 +2,9 @@ package core
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 
 	"github.com/fastfit/fastfit/internal/fault"
@@ -16,38 +16,46 @@ import (
 // never a panic or a silently merged state.
 const fuzzFingerprint = "00000000deadbeef"
 
-// fuzzJournal builds a well-formed journal with the given point records so
-// the corpus starts from inputs that exercise the full decode path.
+// fuzzJournal builds a well-formed, framed journal with the given records
+// so the corpus starts from inputs that exercise the full decode path.
 func fuzzJournal(records ...string) []byte {
-	header := `{"kind":"header","version":1,"fingerprint":"` + fuzzFingerprint + `","app":"is","ranks":8,"totalPoints":4}`
-	lines := append([]string{header}, records...)
-	return []byte(strings.Join(lines, "\n") + "\n")
+	return fuzzHeader(2, fuzzFingerprint, records...)
 }
 
-const fuzzPointRecord = `{"kind":"point","index":0,"result":{"point":{"rank":1,"site":7,"siteName":"allreduce","collType":2,"invocation":3,"stackHash":9,"phase":1,"errHandling":false,"isRoot":false,"nInv":4,"stackDepth":2,"nDiffStacks":1},"trials":[{"target":0,"bit":3,"outcome":0},{"target":1,"bit":9,"outcome":2}]},"baseTrials":2}`
+func fuzzHeader(version int, fingerprint string, records ...string) []byte {
+	header := fmt.Sprintf(`{"kind":"header","version":%d,"fingerprint":"%s","app":"is","ranks":8,"totalPoints":4}`, version, fingerprint)
+	return frameJournal(append([]string{header}, records...)...)
+}
+
+const fuzzPointRecord = `{"kind":"point","index":0,"result":{"point":{"rank":1,"site":7,"siteName":"allreduce","collType":2,"invocation":3,"stackHash":9,"phase":1,"errHandling":false,"isRoot":false,"nInv":4,"stackDepth":2,"nDiffStacks":1},"trials":[{"target":0,"bit":3,"outcome":0},{"target":1,"bit":9,"outcome":2}]}}`
+
+const fuzzRefineRecord = `{"kind":"refine","index":0,"result":{"point":{"rank":1,"site":7,"siteName":"allreduce","collType":2,"invocation":3,"stackHash":9,"phase":1,"errHandling":false,"isRoot":false,"nInv":4,"stackDepth":2,"nDiffStacks":1},"trials":[{"target":0,"bit":3,"outcome":0},{"target":1,"bit":9,"outcome":2},{"target":1,"bit":4,"outcome":3}]}}`
 
 // FuzzLoadCheckpoint: the journal loader must never panic on arbitrary
-// bytes — torn tails, duplicate indices, out-of-range enums, wrong
-// fingerprints and garbage must all surface as descriptive errors (or a
-// tolerated torn tail), never as a crash.
+// bytes — torn tails, duplicate indices, out-of-range indexes and enums,
+// wrong fingerprints, unframed lines and garbage must all surface as
+// descriptive errors (or a tolerated torn tail), never as a crash.
 func FuzzLoadCheckpoint(f *testing.F) {
-	// Valid journal with one point and one quarantine record.
-	f.Add(fuzzJournal(fuzzPointRecord,
-		`{"kind":"quarantine","index":1,"point":{"rank":0,"siteName":"bcast"},"attempts":2,"error":"wedged"}`))
+	// Valid journal with a point, its refinement and a quarantine.
+	valid := fuzzJournal(fuzzPointRecord, fuzzRefineRecord,
+		`{"kind":"quarantine","index":1,"point":{"rank":0,"siteName":"bcast"},"attempts":2,"error":"wedged"}`)
+	f.Add(valid)
 	// Torn tail: crash mid-append.
-	valid := fuzzJournal(fuzzPointRecord)
 	f.Add(valid[:len(valid)-10])
-	// Duplicate index (refined record, last-wins).
+	// Duplicate index (replayed append, first-write-wins).
 	f.Add(fuzzJournal(fuzzPointRecord, fuzzPointRecord))
-	// Wrong fingerprint.
-	f.Add([]byte(`{"kind":"header","version":1,"fingerprint":"ffffffffffffffff","app":"is","ranks":8,"totalPoints":4}` + "\n"))
-	// Unsupported version.
-	f.Add([]byte(`{"kind":"header","version":99,"fingerprint":"` + fuzzFingerprint + `","app":"is","ranks":8,"totalPoints":4}` + "\n"))
-	// Out-of-range outcome enum and negative baseTrials.
+	// Refine record without its point record.
+	f.Add(fuzzJournal(fuzzRefineRecord))
+	// Wrong fingerprint, unsupported versions, unframed version-1 journal.
+	f.Add(fuzzHeader(2, "ffffffffffffffff"))
+	f.Add(fuzzHeader(99, fuzzFingerprint))
+	f.Add(fuzzHeader(1, fuzzFingerprint))
+	f.Add([]byte(`{"kind":"header","version":1,"fingerprint":"` + fuzzFingerprint + `","app":"is","ranks":8,"totalPoints":4}` + "\n" + fuzzPointRecord + "\n"))
+	// Out-of-range outcome enum and point index.
 	f.Add(fuzzJournal(`{"kind":"point","index":0,"result":{"point":{},"trials":[{"target":0,"bit":0,"outcome":999}]}}`))
-	f.Add(fuzzJournal(`{"kind":"point","index":0,"result":{"point":{},"trials":[]},"baseTrials":-1}`))
+	f.Add(fuzzJournal(`{"kind":"point","index":4,"result":{"point":{},"trials":[]}}`))
 	// Missing header, unknown kind, plain garbage, empty file.
-	f.Add([]byte(fuzzPointRecord + "\n"))
+	f.Add(frameJournal(fuzzPointRecord))
 	f.Add(fuzzJournal(`{"kind":"gremlin"}`))
 	f.Add([]byte("not json at all\n"))
 	f.Add([]byte{})
@@ -66,14 +74,23 @@ func FuzzLoadCheckpoint(f *testing.F) {
 			return
 		}
 		// A journal that loads must be internally consistent: the header
-		// validated, and every restored base within its trial list.
+		// validated, every index inside the campaign, and every restored
+		// base within its trial list.
 		if st.Header.Fingerprint != fuzzFingerprint {
 			t.Fatalf("accepted journal with foreign fingerprint %q", st.Header.Fingerprint)
+		}
+		for idx := range st.Quarantined {
+			if idx < 0 || idx >= st.Header.Total {
+				t.Fatalf("accepted quarantine index %d outside campaign of %d", idx, st.Header.Total)
+			}
 		}
 		for idx, base := range st.BaseTrials {
 			pr, ok := st.Results[idx]
 			if !ok {
 				t.Fatalf("base recorded for index %d with no result", idx)
+			}
+			if idx < 0 || idx >= st.Header.Total {
+				t.Fatalf("accepted point index %d outside campaign of %d", idx, st.Header.Total)
 			}
 			if base < 0 || base > len(pr.Trials) {
 				t.Fatalf("index %d: base %d outside trial list of %d", idx, base, len(pr.Trials))

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"context"
-
 	"github.com/fastfit/fastfit/internal/classify"
 	"github.com/fastfit/fastfit/internal/ml"
 )
@@ -36,21 +34,14 @@ type LearnResult struct {
 	ExhaustedPoints bool
 }
 
-// LearnCampaign runs the ML-driven injection loop over the given points:
-// inject a batch, train the random forest on everything measured so far,
-// verify its accuracy on the next batch before that batch joins the
-// training set, and once the accuracy threshold is met predict the
-// remaining points instead of injecting them.
-func (e *Engine) LearnCampaign(points []Point) LearnResult {
-	return e.LearnCampaignWith(points, func(p Point, idx int) PointResult {
-		pr, _ := e.injectAuto(context.Background(), p, idx)
-		return pr
-	})
-}
-
-// LearnCampaignWith is LearnCampaign with a caller-supplied injection
-// function; the threshold-sweep studies (paper Fig. 6) pass a cached lookup
-// so one physical injection campaign can be replayed under many accuracy
+// LearnCampaignWith runs the ML-driven injection loop over the given
+// points with a caller-supplied injection function: inject a batch, train
+// the random forest on everything measured so far, verify its accuracy on
+// the next batch before that batch joins the training set, and once the
+// accuracy threshold is met predict the remaining points instead of
+// injecting them. Campaigns run the same loop through the Supervisor; the
+// threshold-sweep studies (paper Fig. 6) pass a cached lookup here so one
+// physical injection campaign can be replayed under many accuracy
 // thresholds.
 func (e *Engine) LearnCampaignWith(points []Point, inject func(Point, int) PointResult) LearnResult {
 	completed, total := 0, len(points)

@@ -10,16 +10,19 @@ import (
 	"time"
 )
 
-// Supervisor wraps the profile→prune→inject pipeline in a resilient
-// runner: a point-level worker pool spreads a campaign across all cores
-// (RunCampaign parallelises only within a point), a JSONL checkpoint
-// journal makes an interrupted campaign resumable exactly where it
-// stopped, and per-point watchdogs with bounded retries classify *harness*
-// failures — a panicking runner, a wedged profile — separately from
-// injected-fault outcomes, quarantining points that repeatedly break the
-// harness so the campaign degrades to a complete-with-skips report instead
-// of aborting. The FINJ tool (Netti et al.) demonstrates exactly this
-// supervision layer for production fault-injection campaigns.
+// Supervisor is the one campaign orchestrator: it runs the
+// profile→prune→inject→learn pipeline behind a point-level worker pool
+// that spreads a campaign across all cores, a checksummed checkpoint
+// journal that makes an interrupted campaign resumable exactly where it
+// stopped, and per-point watchdogs with bounded retries that classify
+// *harness* failures — a panicking runner, a wedged profile — separately
+// from injected-fault outcomes, quarantining points that repeatedly break
+// the harness so the campaign degrades to a complete-with-skips report
+// instead of aborting. A Workers: 1 run is the serial reference:
+// RunCampaign is exactly that, the distributed merge replays shard records
+// through it, and every wider pool must reproduce its result. The FINJ
+// tool (Netti et al.) demonstrates this supervision layer for production
+// fault-injection campaigns.
 type Supervisor struct {
 	eng  *Engine
 	opts SupervisorOptions
@@ -31,7 +34,7 @@ type SupervisorOptions struct {
 	// default from GOMAXPROCS. Each point additionally parallelises its
 	// trials per Options.Parallelism.
 	Workers int
-	// Checkpoint is the JSONL journal path. Empty disables persistence
+	// Checkpoint is the journal path. Empty disables persistence
 	// (the campaign is still cancellable and watchdogged). If the file
 	// exists and its fingerprint matches, the campaign resumes from it;
 	// a mismatched journal is rejected with ErrCheckpointMismatch.
@@ -198,9 +201,15 @@ func (s *Supervisor) Run(ctx context.Context) (*SupervisedResult, error) {
 	if e.Options().ML.Pruning {
 		s.runML(ctx, plan, run)
 	} else {
-		s.runDirect(ctx, plan.points, run)
+		e.emit(PhaseChanged{Phase: CampaignInjecting, Points: run.total})
+		idxs := make([]int, len(plan.points))
+		for i := range idxs {
+			idxs[i] = i
+		}
+		pointAt := func(idx int) Point { return plan.points[idx] }
+		s.injectPoints(ctx, run, idxs, pointAt)
 		if e.Options().Adaptive.Enabled && ctx.Err() == nil && run.err() == nil {
-			s.refinePass(ctx, run, func(idx int) Point { return plan.points[idx] }, nil)
+			s.refinePass(ctx, run, pointAt, nil)
 		}
 	}
 
@@ -300,38 +309,41 @@ func (r *supervisedRun) record(idx int, pr PointResult) {
 	r.completed++
 	e.emitSettled(idx, pr, false)
 	e.emit(PointCompleted{Index: idx, Result: pr, Completed: r.completed, Total: r.total})
-	if r.ckpt != nil {
-		if err := r.ckpt.AppendResult(idx, pr, len(pr.Trials)); err != nil && r.firstErr == nil {
-			r.firstErr = err
-		} else if err == nil {
-			r.appends++
-			e.emit(CheckpointAppended{Path: r.ckpt.Path(), Index: idx, Records: r.appends})
-		}
-	}
+	r.journal(idx, func(c *Checkpoint) error { return c.AppendResult(idx, pr) })
 	if r.sink != nil {
-		if err := r.sink(PointRecord{Index: idx, Result: pr, Base: len(pr.Trials)}); err != nil && r.firstErr == nil {
+		if err := r.sink(PointRecord{Index: idx, Result: pr}); err != nil && r.firstErr == nil {
 			r.firstErr = fmt.Errorf("journal sink: point %d: %w", idx, err)
 		}
 	}
 }
 
-// recordRefined journals and stores one refined point: the same index gets
-// a second journal record (last-wins on load) whose Base stays the phase-1
-// count, so a resumed learn loop still trains on the phase-1 prefix.
+// recordRefined journals and stores one refined point as a "refine"
+// record. The point's "point" record keeps its phase-1 trials, so a
+// resumed learn loop still trains on the phase-1 prefix while the refined
+// trials are restored on top of it.
 func (r *supervisedRun) recordRefined(idx int, pr, prior PointResult) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	e := r.sup.eng
 	r.results[idx] = pr
 	e.emitRefined(idx, pr, prior)
-	if r.ckpt != nil {
-		if err := r.ckpt.AppendResult(idx, pr, r.base[idx]); err != nil && r.firstErr == nil {
-			r.firstErr = err
-		} else if err == nil {
-			r.appends++
-			e.emit(CheckpointAppended{Path: r.ckpt.Path(), Index: idx, Records: r.appends})
-		}
+	r.journal(idx, func(c *Checkpoint) error { return c.AppendRefine(idx, pr) })
+}
+
+// journal makes one checkpoint append (the caller holds the run lock),
+// keeping the first failure and announcing each success in the stream.
+func (r *supervisedRun) journal(idx int, write func(*Checkpoint) error) {
+	if r.ckpt == nil {
+		return
 	}
+	if err := write(r.ckpt); err != nil {
+		if r.firstErr == nil {
+			r.firstErr = err
+		}
+		return
+	}
+	r.appends++
+	r.sup.eng.emit(CheckpointAppended{Path: r.ckpt.Path(), Index: idx, Records: r.appends})
 }
 
 // phase1 returns every completed point stripped to its phase-1 prefix —
@@ -368,14 +380,7 @@ func (r *supervisedRun) quarantine(q QuarantinedPoint) {
 	r.quar[q.Index] = q
 	r.completed++
 	e.emit(PointQuarantined{Point: q, Completed: r.completed, Total: r.total})
-	if r.ckpt != nil {
-		if err := r.ckpt.AppendQuarantine(q); err != nil && r.firstErr == nil {
-			r.firstErr = err
-		} else if err == nil {
-			r.appends++
-			e.emit(CheckpointAppended{Path: r.ckpt.Path(), Index: q.Index, Records: r.appends})
-		}
-	}
+	r.journal(q.Index, func(c *Checkpoint) error { return c.AppendQuarantine(q) })
 }
 
 func (r *supervisedRun) done(idx int) bool {
@@ -392,31 +397,42 @@ func (r *supervisedRun) bumpRetries() {
 	r.mu.Unlock()
 }
 
-// runDirect injects every point (no ML pruning) through the worker pool.
-func (s *Supervisor) runDirect(ctx context.Context, points []Point, run *supervisedRun) {
-	s.eng.emit(PhaseChanged{Phase: CampaignInjecting, Points: run.total})
-	idxCh := make(chan int)
+// forEach calls do for each of idxs on the worker pool, dispatching in
+// order and stopping dispatch once ctx is cancelled or the run has failed.
+// With one worker the calls run one after another in idxs order.
+func (s *Supervisor) forEach(ctx context.Context, run *supervisedRun, idxs []int, do func(idx int)) {
+	ch := make(chan int)
 	var wg sync.WaitGroup
 	for w := 0; w < s.opts.Workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for idx := range idxCh {
-				s.runPoint(ctx, points[idx], idx, run)
+			for idx := range ch {
+				do(idx)
 			}
 		}()
 	}
-	for idx := range points {
-		if run.done(idx) || ctx.Err() != nil {
-			continue
+	for _, idx := range idxs {
+		if ctx.Err() != nil || run.err() != nil {
+			break
 		}
 		select {
-		case idxCh <- idx:
+		case ch <- idx:
 		case <-ctx.Done():
 		}
 	}
-	close(idxCh)
+	close(ch)
 	wg.Wait()
+}
+
+// injectPoints injects every point of idxs not already done (restored
+// from a journal) through the worker pool.
+func (s *Supervisor) injectPoints(ctx context.Context, run *supervisedRun, idxs []int, pointAt func(int) Point) {
+	s.forEach(ctx, run, idxs, func(idx int) {
+		if !run.done(idx) {
+			s.runPoint(ctx, pointAt(idx), idx, run)
+		}
+	})
 }
 
 // runML drives the injection/learning feedback loop, parallelising each
@@ -424,26 +440,13 @@ func (s *Supervisor) runDirect(ctx context.Context, points []Point, run *supervi
 // ML campaign retraces the exact path of an uninterrupted one.
 func (s *Supervisor) runML(ctx context.Context, plan *campaignPlan, run *supervisedRun) {
 	res := plan.res
+	// The learn loop hands out batches of this order's indexes (ps[i] is
+	// shuffled[idxs[i]]); trial seeds and journal records key off them.
+	shuffled := shuffledPoints(s.eng, plan.points)
+	pointAt := func(idx int) Point { return shuffled[idx] }
 	lr, abortedLoop := s.eng.learnCampaignBatched(plan.points, func(ps []Point, idxs []int) []*PointResult {
-		if ctx.Err() != nil {
-			return nil
-		}
-		var wg sync.WaitGroup
-		sem := make(chan struct{}, s.opts.Workers)
-		for i, idx := range idxs {
-			if run.done(idx) {
-				continue
-			}
-			wg.Add(1)
-			sem <- struct{}{}
-			go func(p Point, idx int) {
-				defer wg.Done()
-				defer func() { <-sem }()
-				s.runPoint(ctx, p, idx, run)
-			}(ps[i], idx)
-		}
-		wg.Wait()
-		if ctx.Err() != nil {
+		s.injectPoints(ctx, run, idxs, pointAt)
+		if ctx.Err() != nil || run.err() != nil {
 			return nil
 		}
 		out := make([]*PointResult, len(ps))
@@ -473,8 +476,7 @@ func (s *Supervisor) runML(ctx context.Context, plan *campaignPlan, run *supervi
 		for p, idx := range lr.MeasuredIdx {
 			pos[idx] = p
 		}
-		shuffled := shuffledPoints(s.eng, plan.points)
-		s.refinePass(ctx, run, func(idx int) Point { return shuffled[idx] }, pos)
+		s.refinePass(ctx, run, pointAt, pos)
 		for idx, p := range pos {
 			lr.Measured[p] = run.result(idx)
 		}
@@ -513,29 +515,22 @@ func (s *Supervisor) refinePass(ctx context.Context, run *supervisedRun, pointAt
 		return
 	}
 	e.emit(PhaseChanged{Phase: CampaignRefining, Points: len(grants)})
-	sem := make(chan struct{}, s.opts.Workers)
-	var wg sync.WaitGroup
+	extra := make(map[int]int, len(grants))
+	var idxs []int
 	for _, g := range grants {
-		if ctx.Err() != nil {
-			break
+		if !run.refined(g.Idx) {
+			extra[g.Idx] = g.Extra
+			idxs = append(idxs, g.Idx)
 		}
-		if run.refined(g.Idx) {
-			continue
-		}
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(g refineGrant) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			prior := phase1[g.Idx]
-			pr, err := e.RefinePoint(ctx, pointAt(g.Idx), g.Idx, prior, g.Extra)
-			if err != nil {
-				return // cancelled: the point resumes unrefined
-			}
-			run.recordRefined(g.Idx, pr, prior)
-		}(g)
 	}
-	wg.Wait()
+	s.forEach(ctx, run, idxs, func(idx int) {
+		prior := phase1[idx]
+		pr, err := e.RefinePoint(ctx, pointAt(idx), idx, prior, extra[idx])
+		if err != nil {
+			return // cancelled: the point resumes unrefined
+		}
+		run.recordRefined(idx, pr, prior)
+	})
 }
 
 // runPoint executes one point under the watchdog with bounded retries,

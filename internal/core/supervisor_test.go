@@ -44,8 +44,9 @@ func campaignJSONBytes(t *testing.T, res *CampaignResult) []byte {
 	return buf.Bytes()
 }
 
-// TestSupervisorMatchesRunCampaign: the parallel supervised runner must be
-// bit-identical to the serial RunCampaign on the same configuration.
+// TestSupervisorMatchesRunCampaign: a four-worker supervised run must be
+// bit-identical to RunCampaign, the one-worker run, on the same
+// configuration.
 func TestSupervisorMatchesRunCampaign(t *testing.T) {
 	opts := supTestOptions()
 	serial, err := supTestEngine(t, opts).RunCampaign()

@@ -127,10 +127,6 @@ func FuzzDecodeJournalBatch(f *testing.F) {
 			if rec.Index < 0 {
 				t.Fatalf("accepted record with negative index %d", rec.Index)
 			}
-			if rec.Base < 0 || rec.Base > len(rec.Result.Trials) {
-				t.Fatalf("accepted record %d with base %d outside trial list of %d",
-					rec.Index, rec.Base, len(rec.Result.Trials))
-			}
 		}
 		for _, q := range quars {
 			if q.Index < 0 {

@@ -46,7 +46,7 @@ func Fig5(st *Store) (*Result, error) {
                                     predict untested points instead
 `
 	r.Notes = append(r.Notes,
-		"Implemented by internal/profile (profiling), internal/fault (config generation + injection), internal/ml + internal/core (learning loop of Engine.LearnCampaign).")
+		"Implemented by internal/profile (profiling), internal/fault (config generation + injection), internal/ml + internal/core (learning loop run by core.Supervisor).")
 	return r, nil
 }
 

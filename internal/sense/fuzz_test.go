@@ -4,6 +4,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"github.com/fastfit/fastfit/internal/recfile"
 )
 
 // Fuzz corpora follow the core/dist loader fuzzers: seed with valid files,
@@ -33,7 +35,7 @@ func FuzzLoadFeatureStore(f *testing.F) {
 	corrupt := append([]byte{}, valid...)
 	corrupt[len(corrupt)/2] ^= 0xff
 	f.Add(corrupt)
-	hdr, _ := encodeStoreLine(storeHeader{Kind: "sense-store", Version: storeVersion + 9})
+	hdr, _ := recfile.Encode(storeHeader{Kind: "sense-store", Version: storeVersion + 9})
 	f.Add(hdr)
 
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -2,10 +2,10 @@ package sense
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 	"os"
-	"path/filepath"
 	"sort"
 
 	"github.com/fastfit/fastfit/internal/ml"
@@ -326,62 +326,23 @@ func (m *Model) Save(path string) error {
 	if err != nil {
 		return err
 	}
-	tmp, err := os.CreateTemp(filepath.Dir(path), ".sense-model-*")
-	if err != nil {
-		return fmt.Errorf("creating sense model: %w", err)
-	}
-	tmpName := tmp.Name()
-	if _, err = tmp.Write(data); err == nil {
-		err = tmp.Sync()
-	}
-	if cerr := tmp.Close(); err == nil {
-		err = cerr
-	}
-	if err == nil {
-		err = os.Rename(tmpName, path)
-	}
-	if err != nil {
-		os.Remove(tmpName)
-		return fmt.Errorf("writing sense model %s: %w", path, err)
-	}
-	return nil
+	return recfile.WriteFile(path, data)
 }
 
 func (m *Model) encode() ([]byte, error) {
-	if m.Forest == nil || m.Cal == nil {
+	if m.Forest == nil || m.Cal == nil || m.Support == nil {
 		return nil, fmt.Errorf("cannot encode an incomplete model")
-	}
-	header, err := encodeStoreLine(modelHeader{
-		Kind: "sense-model", Version: modelVersion,
-		Classes: Classes, Features: FeatureNames,
-		Apps: m.Apps, Records: m.Records,
-	})
-	if err != nil {
-		return nil, err
 	}
 	forestData, err := m.Forest.Encode()
 	if err != nil {
 		return nil, fmt.Errorf("encoding sense model forest: %w", err)
 	}
-	forest, err := encodeStoreLine(modelForest{Kind: "forest", Data: forestData})
-	if err != nil {
-		return nil, err
-	}
-	cal, err := encodeStoreLine(modelCalibration{Kind: "calibration", Predicted: m.Cal.Predicted, Correct: m.Cal.Correct})
-	if err != nil {
-		return nil, err
-	}
-	if m.Support == nil {
-		return nil, fmt.Errorf("cannot encode an incomplete model")
-	}
-	support, err := encodeStoreLine(modelSupport{Kind: "support", Support: *m.Support})
-	if err != nil {
-		return nil, err
-	}
-	out := append([]byte{}, header...)
-	out = append(out, forest...)
-	out = append(out, cal...)
-	return append(out, support...), nil
+	return recfile.Encode(
+		modelHeader{Kind: "sense-model", Version: modelVersion,
+			Classes: Classes, Features: FeatureNames, Apps: m.Apps, Records: m.Records},
+		modelForest{Kind: "forest", Data: forestData},
+		modelCalibration{Kind: "calibration", Predicted: m.Cal.Predicted, Correct: m.Cal.Correct},
+		modelSupport{Kind: "support", Support: *m.Support})
 }
 
 // LoadModel reads and validates a model file, refusing schema drift — a
@@ -393,120 +354,96 @@ func LoadModel(path string) (*Model, error) {
 	if err != nil {
 		return nil, err
 	}
-	return decodeModel(path, data)
+	m, err := decodeModel(data)
+	if err != nil {
+		return nil, fmt.Errorf("sense model %s: %w", path, err)
+	}
+	return m, nil
 }
 
-func decodeModel(path string, data []byte) (*Model, error) {
-	if len(data) == 0 {
-		return nil, fmt.Errorf("sense model %s: empty file", path)
+func decodeModel(data []byte) (*Model, error) {
+	c, err := recfile.Parse(data)
+	if err != nil {
+		return nil, err
 	}
-	lines, torn, _ := recfile.Split(data)
-	if torn {
-		return nil, fmt.Errorf("sense model %s: truncated file (torn trailing line)", path)
+	if c.TornTail {
+		return nil, errors.New("truncated file (torn trailing line)")
 	}
-	m := &Model{}
-	opened := false
-	offset := int64(0)
-	for i, line := range lines {
-		lineOffset := offset
-		offset += int64(len(line)) + 1
-		payload, err := recfile.ParseLine(line)
-		if err != nil {
-			return nil, fmt.Errorf("sense model %s: record %d at offset %d: %w", path, i+1, lineOffset, err)
-		}
-		var kind struct {
-			Kind string `json:"kind"`
-		}
-		if err := json.Unmarshal(payload, &kind); err != nil {
-			return nil, fmt.Errorf("sense model %s: record %d at offset %d: corrupt payload: %w", path, i+1, lineOffset, err)
-		}
-		switch kind.Kind {
-		case "sense-model":
-			if opened {
-				return nil, fmt.Errorf("sense model %s: record %d at offset %d: unexpected second header", path, i+1, lineOffset)
-			}
-			var h modelHeader
-			if err := json.Unmarshal(payload, &h); err != nil {
-				return nil, fmt.Errorf("sense model %s: record %d at offset %d: corrupt header: %w", path, i+1, lineOffset, err)
-			}
-			if h.Version != modelVersion {
-				return nil, fmt.Errorf("sense model %s: unsupported version %d (want %d) — model written by an incompatible build?", path, h.Version, modelVersion)
-			}
-			if h.Classes != Classes {
-				return nil, fmt.Errorf("sense model %s: model tallies %d outcome classes, this build has %d", path, h.Classes, Classes)
-			}
-			if err := sameFeatures(h.Features); err != nil {
-				return nil, fmt.Errorf("sense model %s: %w", path, err)
-			}
-			m.Apps = h.Apps
-			m.Records = h.Records
-			opened = true
+	if len(c.Records) == 0 || c.Records[0].Kind != "sense-model" {
+		return nil, errors.New("missing header")
+	}
+	var h modelHeader
+	if err := c.Records[0].Decode(&h); err != nil {
+		return nil, err
+	}
+	if h.Version != modelVersion {
+		return nil, fmt.Errorf("unsupported version %d (want %d) — model written by an incompatible build?", h.Version, modelVersion)
+	}
+	if h.Classes != Classes {
+		return nil, fmt.Errorf("model tallies %d outcome classes, this build has %d", h.Classes, Classes)
+	}
+	if err := sameFeatures(h.Features); err != nil {
+		return nil, err
+	}
+	m := &Model{Apps: h.Apps, Records: h.Records}
+	for _, r := range c.Records[1:] {
+		switch r.Kind {
 		case "forest":
-			if !opened {
-				return nil, fmt.Errorf("sense model %s: missing header", path)
-			}
 			var rec modelForest
-			if err := json.Unmarshal(payload, &rec); err != nil {
-				return nil, fmt.Errorf("sense model %s: record %d at offset %d: corrupt forest record: %w", path, i+1, lineOffset, err)
+			if err := r.Decode(&rec); err != nil {
+				return nil, err
 			}
 			forest, features, err := ml.DecodeForest(rec.Data)
 			if err != nil {
-				return nil, fmt.Errorf("sense model %s: record %d at offset %d: %w", path, i+1, lineOffset, err)
+				return nil, r.Errorf("%w", err)
 			}
 			if err := sameFeatures(features); err != nil {
-				return nil, fmt.Errorf("sense model %s: %w", path, err)
+				return nil, err
 			}
 			if forest.Classes() != Classes {
-				return nil, fmt.Errorf("sense model %s: forest votes over %d classes, this build has %d", path, forest.Classes(), Classes)
+				return nil, fmt.Errorf("forest votes over %d classes, this build has %d", forest.Classes(), Classes)
 			}
 			m.Forest = forest
 		case "calibration":
-			if !opened {
-				return nil, fmt.Errorf("sense model %s: missing header", path)
-			}
 			var rec modelCalibration
-			if err := json.Unmarshal(payload, &rec); err != nil {
-				return nil, fmt.Errorf("sense model %s: record %d at offset %d: corrupt calibration record: %w", path, i+1, lineOffset, err)
+			if err := r.Decode(&rec); err != nil {
+				return nil, err
 			}
 			if len(rec.Predicted) != Classes || len(rec.Correct) != Classes {
-				return nil, fmt.Errorf("sense model %s: record %d at offset %d: calibration covers %d/%d classes, this build has %d",
-					path, i+1, lineOffset, len(rec.Predicted), len(rec.Correct), Classes)
+				return nil, r.Errorf("calibration covers %d/%d classes, this build has %d",
+					len(rec.Predicted), len(rec.Correct), Classes)
 			}
 			for c := 0; c < Classes; c++ {
 				if rec.Predicted[c] < 0 || rec.Correct[c] < 0 || rec.Correct[c] > rec.Predicted[c] {
-					return nil, fmt.Errorf("sense model %s: record %d at offset %d: impossible calibration tallies %d/%d for class %d",
-						path, i+1, lineOffset, rec.Correct[c], rec.Predicted[c], c)
+					return nil, r.Errorf("impossible calibration tallies %d/%d for class %d",
+						rec.Correct[c], rec.Predicted[c], c)
 				}
 			}
 			m.Cal = &ml.Calibration{Predicted: rec.Predicted, Correct: rec.Correct}
 		case "support":
-			if !opened {
-				return nil, fmt.Errorf("sense model %s: missing header", path)
-			}
 			var rec modelSupport
-			if err := json.Unmarshal(payload, &rec); err != nil {
-				return nil, fmt.Errorf("sense model %s: record %d at offset %d: corrupt support record: %w", path, i+1, lineOffset, err)
+			if err := r.Decode(&rec); err != nil {
+				return nil, err
 			}
 			if err := rec.Support.validate(); err != nil {
-				return nil, fmt.Errorf("sense model %s: record %d at offset %d: %w", path, i+1, lineOffset, err)
+				return nil, r.Errorf("%w", err)
 			}
 			s := rec.Support
 			m.Support = &s
+		case "sense-model":
+			return nil, r.Errorf("unexpected second header")
 		default:
-			return nil, fmt.Errorf("sense model %s: record %d at offset %d: unknown record kind %q", path, i+1, lineOffset, kind.Kind)
+			return nil, r.Errorf("unknown record kind %q", r.Kind)
 		}
 	}
-	if !opened {
-		return nil, fmt.Errorf("sense model %s: missing header", path)
-	}
 	if m.Forest == nil {
-		return nil, fmt.Errorf("sense model %s: missing forest record", path)
+		return nil, errors.New("missing forest record")
 	}
 	if m.Cal == nil {
-		return nil, fmt.Errorf("sense model %s: missing calibration record", path)
+		return nil, errors.New("missing calibration record")
 	}
 	if m.Support == nil {
-		return nil, fmt.Errorf("sense model %s: missing support record", path)
+		return nil, errors.New("missing support record")
 	}
 	return m, nil
 }

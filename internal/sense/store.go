@@ -2,6 +2,7 @@ package sense
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"os"
@@ -12,14 +13,14 @@ import (
 	"github.com/fastfit/fastfit/internal/recfile"
 )
 
-// The feature store is a JSONL log in the shared recfile grammar
-// (internal/dist's WAL discipline): one record per line, each line a
-// length prefix, a CRC32 of the payload and the JSON payload. Appends are
-// single writes of whole lines, so a crash can at worst leave one torn
-// trailing line, which opening discards and truncates away; corruption
-// anywhere before the tail is an error naming the byte offset, never
-// silently skipped. Records are keyed by (campaign fingerprint, index)
-// with first-write-wins dedup, so re-ingesting a campaign is a no-op.
+// The feature store is a shared recfile log (internal/recfile), like the
+// checkpoint journal and the coordinator WAL: one CRC-framed JSON record
+// per line, created via temp-and-rename, appended in whole-line writes. A
+// crash can at worst leave one torn trailing line, which opening discards
+// and truncates away; corruption anywhere before the tail is an error
+// naming the byte offset, never silently skipped. Records are keyed by
+// (campaign fingerprint, index) with first-write-wins dedup, so
+// re-ingesting a campaign is a no-op.
 
 // storeVersion identifies the store's on-disk schema.
 const storeVersion = 1
@@ -51,28 +52,17 @@ type StoreState struct {
 	// TornTail reports that a torn trailing line (interrupted append) was
 	// discarded while loading.
 	TornTail bool
-	// validLen is the byte length up to and including the last complete
-	// line; OpenStore truncates a torn tail to it.
-	validLen int64
 
-	seen map[string]bool // "fingerprint/index" dedup keys
+	contents *recfile.Contents
+	seen     map[string]bool // "fingerprint/index" dedup keys
 }
 
 // Store is an open feature store accepting appends.
 type Store struct {
-	path string
+	log *recfile.Log
 
-	mu sync.Mutex
-	f  *os.File
+	mu sync.Mutex // guards st, and orders each append with its dedup key
 	st *StoreState
-}
-
-func encodeStoreLine(v any) ([]byte, error) {
-	payload, err := json.Marshal(v)
-	if err != nil {
-		return nil, fmt.Errorf("encoding sense record: %w", err)
-	}
-	return recfile.EncodeLine(payload), nil
 }
 
 // OpenStore opens the feature store in dir, creating it (directory
@@ -84,52 +74,21 @@ func OpenStore(dir string) (*Store, error) {
 	}
 	path := filepath.Join(dir, StoreFileName)
 	if _, err := os.Stat(path); os.IsNotExist(err) {
-		if err := createStore(dir, path); err != nil {
+		log, err := recfile.Create(path, storeHeader{Kind: "sense-store", Version: storeVersion})
+		if err != nil {
 			return nil, err
 		}
+		log.Close()
 	}
 	st, err := LoadStoreState(path)
 	if err != nil {
 		return nil, err
 	}
-	if st.TornTail {
-		if err := os.Truncate(path, st.validLen); err != nil {
-			return nil, fmt.Errorf("repairing sense store %s: %w", path, err)
-		}
-	}
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
+	log, err := recfile.Reopen(path, st.contents)
 	if err != nil {
-		return nil, fmt.Errorf("reopening sense store %s: %w", path, err)
+		return nil, err
 	}
-	return &Store{path: path, f: f, st: st}, nil
-}
-
-// createStore writes a fresh header-only store to a temporary file and
-// renames it into place, so a half-written store is never observed.
-func createStore(dir, path string) error {
-	header, err := encodeStoreLine(storeHeader{Kind: "sense-store", Version: storeVersion})
-	if err != nil {
-		return err
-	}
-	tmp, err := os.CreateTemp(dir, ".sense-*")
-	if err != nil {
-		return fmt.Errorf("creating sense store: %w", err)
-	}
-	tmpName := tmp.Name()
-	if _, err = tmp.Write(header); err == nil {
-		err = tmp.Sync()
-	}
-	if cerr := tmp.Close(); err == nil {
-		err = cerr
-	}
-	if err == nil {
-		err = os.Rename(tmpName, path)
-	}
-	if err != nil {
-		os.Remove(tmpName)
-		return fmt.Errorf("creating sense store %s: %w", path, err)
-	}
-	return nil
+	return &Store{log: log, st: st}, nil
 }
 
 // LoadStoreState reads and validates a feature store file. A torn trailing
@@ -140,65 +99,49 @@ func LoadStoreState(path string) (*StoreState, error) {
 	if err != nil {
 		return nil, err
 	}
-	return loadStoreState(path, data)
+	st, err := loadStoreState(data)
+	if err != nil {
+		return nil, fmt.Errorf("sense store %s: %w", path, err)
+	}
+	return st, nil
 }
 
-func loadStoreState(path string, data []byte) (*StoreState, error) {
-	if len(data) == 0 {
-		return nil, fmt.Errorf("sense store %s: empty file", path)
+func loadStoreState(data []byte) (*StoreState, error) {
+	c, err := recfile.Parse(data)
+	if err != nil {
+		return nil, err
 	}
-	lines, torn, validLen := recfile.Split(data)
-
+	if len(c.Records) == 0 || c.Records[0].Kind != "sense-store" {
+		return nil, errors.New("missing header")
+	}
+	var h storeHeader
+	if err := c.Records[0].Decode(&h); err != nil {
+		return nil, err
+	}
+	if h.Version != storeVersion {
+		return nil, fmt.Errorf("unsupported version %d (want %d)", h.Version, storeVersion)
+	}
 	st := &StoreState{
 		Campaigns: map[string]int{},
-		TornTail:  torn,
-		validLen:  validLen,
+		TornTail:  c.TornTail,
+		contents:  c,
 		seen:      map[string]bool{},
 	}
-	opened := false
-	offset := int64(0)
-	for i, line := range lines {
-		lineOffset := offset
-		offset += int64(len(line)) + 1
-		payload, err := recfile.ParseLine(line)
-		if err != nil {
-			return nil, fmt.Errorf("sense store %s: record %d at offset %d: %w", path, i+1, lineOffset, err)
-		}
-		var kind struct {
-			Kind string `json:"kind"`
-		}
-		if err := json.Unmarshal(payload, &kind); err != nil {
-			return nil, fmt.Errorf("sense store %s: record %d at offset %d: corrupt payload: %w", path, i+1, lineOffset, err)
-		}
-		switch kind.Kind {
-		case "sense-store":
-			if opened {
-				return nil, fmt.Errorf("sense store %s: record %d at offset %d: unexpected second header", path, i+1, lineOffset)
-			}
-			var h storeHeader
-			if err := json.Unmarshal(payload, &h); err != nil {
-				return nil, fmt.Errorf("sense store %s: record %d at offset %d: corrupt header: %w", path, i+1, lineOffset, err)
-			}
-			if h.Version != storeVersion {
-				return nil, fmt.Errorf("sense store %s: unsupported version %d (want %d)", path, h.Version, storeVersion)
-			}
-			opened = true
+	for _, r := range c.Records[1:] {
+		switch r.Kind {
 		case "record":
-			if !opened {
-				return nil, fmt.Errorf("sense store %s: missing header", path)
-			}
 			var rec storeRecord
-			if err := json.Unmarshal(payload, &rec); err != nil {
-				return nil, fmt.Errorf("sense store %s: record %d at offset %d: corrupt record: %w", path, i+1, lineOffset, err)
+			if err := r.Decode(&rec); err != nil {
+				return nil, err
 			}
 			if rec.Fingerprint == "" {
-				return nil, fmt.Errorf("sense store %s: record %d at offset %d: missing fingerprint", path, i+1, lineOffset)
+				return nil, r.Errorf("missing fingerprint")
 			}
 			if rec.Index < 0 {
-				return nil, fmt.Errorf("sense store %s: record %d at offset %d: negative index %d", path, i+1, lineOffset, rec.Index)
+				return nil, r.Errorf("negative index %d", rec.Index)
 			}
 			if err := rec.Record.validate(); err != nil {
-				return nil, fmt.Errorf("sense store %s: record %d at offset %d: %w", path, i+1, lineOffset, err)
+				return nil, r.Errorf("%w", err)
 			}
 			// First write wins, like the WAL's record store: a replayed
 			// append changes nothing.
@@ -209,18 +152,17 @@ func loadStoreState(path string, data []byte) (*StoreState, error) {
 			st.seen[key] = true
 			st.Records = append(st.Records, rec.Record)
 			st.Campaigns[rec.Fingerprint]++
+		case "sense-store":
+			return nil, r.Errorf("unexpected second header")
 		default:
-			return nil, fmt.Errorf("sense store %s: record %d at offset %d: unknown record kind %q", path, i+1, lineOffset, kind.Kind)
+			return nil, r.Errorf("unknown record kind %q", r.Kind)
 		}
-	}
-	if !opened {
-		return nil, fmt.Errorf("sense store %s: missing header", path)
 	}
 	return st, nil
 }
 
 // Path returns the store's file path.
-func (s *Store) Path() string { return s.path }
+func (s *Store) Path() string { return s.log.Path() }
 
 // Records returns a copy of the accumulated observations.
 func (s *Store) Records() []Record {
@@ -258,27 +200,20 @@ func (s *Store) Campaigns() int {
 // is appended past the first bad one.
 func (s *Store) AddCampaign(fingerprint string, recs []Record) (added int, err error) {
 	if fingerprint == "" {
-		return 0, fmt.Errorf("sense store %s: empty campaign fingerprint", s.path)
+		return 0, fmt.Errorf("sense store %s: empty campaign fingerprint", s.Path())
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.f == nil {
-		return 0, fmt.Errorf("sense store %s: already closed", s.path)
-	}
 	for i, rec := range recs {
 		if err := rec.validate(); err != nil {
-			return added, fmt.Errorf("sense store %s: campaign %s record %d: %w", s.path, fingerprint, i, err)
+			return added, fmt.Errorf("sense store %s: campaign %s record %d: %w", s.Path(), fingerprint, i, err)
 		}
 		key := fmt.Sprintf("%s/%d", fingerprint, i)
 		if s.st.seen[key] {
 			continue
 		}
-		line, err := encodeStoreLine(storeRecord{Kind: "record", Fingerprint: fingerprint, Index: i, Record: rec})
-		if err != nil {
+		if err := s.log.Append(storeRecord{Kind: "record", Fingerprint: fingerprint, Index: i, Record: rec}); err != nil {
 			return added, err
-		}
-		if _, err := s.f.Write(line); err != nil {
-			return added, fmt.Errorf("appending to sense store %s: %w", s.path, err)
 		}
 		s.st.seen[key] = true
 		s.st.Records = append(s.st.Records, rec)
@@ -289,29 +224,10 @@ func (s *Store) AddCampaign(fingerprint string, recs []Record) (added int, err e
 }
 
 // Sync flushes appends to stable storage.
-func (s *Store) Sync() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.f == nil {
-		return nil
-	}
-	return s.f.Sync()
-}
+func (s *Store) Sync() error { return s.log.Sync() }
 
 // Close syncs and closes the store. The file stays on disk.
-func (s *Store) Close() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.f == nil {
-		return nil
-	}
-	err := s.f.Sync()
-	if cerr := s.f.Close(); err == nil {
-		err = cerr
-	}
-	s.f = nil
-	return err
-}
+func (s *Store) Close() error { return s.log.Close() }
 
 // Fingerprint derives a stable campaign key from the app name and the
 // campaign's records — the store-side analogue of core.CampaignFingerprint,
