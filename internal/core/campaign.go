@@ -125,14 +125,22 @@ func (e *Engine) RunCampaign() (*CampaignResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	if len(sup.Quarantined) > 0 {
-		names := make([]string, len(sup.Quarantined))
-		for i, q := range sup.Quarantined {
-			names[i] = fmt.Sprintf("point %d (%s): %s", q.Index, q.Point.String(), q.Err)
-		}
-		return nil, fmt.Errorf("campaign quarantined %d point(s): %s", len(names), strings.Join(names, "; "))
+	if err := quarantineError(sup.Quarantined); err != nil {
+		return nil, err
 	}
 	return sup.CampaignResult, nil
+}
+
+// quarantineError names every quarantined point, or returns nil if none.
+func quarantineError(qs []QuarantinedPoint) error {
+	if len(qs) == 0 {
+		return nil
+	}
+	names := make([]string, len(qs))
+	for i, q := range qs {
+		names[i] = fmt.Sprintf("point %d (%s): %s", q.Index, q.Point.String(), q.Err)
+	}
+	return fmt.Errorf("campaign quarantined %d point(s): %s", len(names), strings.Join(names, "; "))
 }
 
 // Summary renders the campaign's pruning accounting as a one-line record

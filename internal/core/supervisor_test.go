@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -232,6 +233,14 @@ func TestSupervisorQuarantinesPoisonPoint(t *testing.T) {
 	}
 	if sup.HarnessRetries < 1 {
 		t.Fatalf("retries not counted: %d", sup.HarnessRetries)
+	}
+	// RunCampaign turns the same outcome into an error naming the point.
+	if err := quarantineError(sup.Quarantined); err == nil ||
+		!strings.Contains(err.Error(), "point 1 (") || !strings.Contains(err.Error(), "wedged harness at point 1") {
+		t.Fatalf("quarantineError = %v", err)
+	}
+	if err := quarantineError(nil); err != nil {
+		t.Fatalf("quarantineError(nil) = %v", err)
 	}
 	total := sup.AfterContext
 	if len(sup.Measured) != total-1 {

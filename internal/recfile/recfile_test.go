@@ -3,6 +3,8 @@ package recfile
 import (
 	"bytes"
 	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -93,5 +95,70 @@ func TestSplitEveryLineParses(t *testing.T) {
 		if want := fmt.Sprintf(`{"i":%d}`, i); string(payload) != want {
 			t.Fatalf("line %d payload %q, want %q", i, payload, want)
 		}
+	}
+}
+
+func TestLogCreateAppendReopen(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "x.log")
+	type rec struct {
+		Kind string `json:"kind"`
+		N    int    `json:"n"`
+	}
+	l, err := Create(path, rec{"header", 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Append(rec{"item", 1}, rec{"item", 2}); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Append(rec{"item", 3}); err == nil || !strings.Contains(err.Error(), "already closed") {
+		t.Fatalf("append after close: %v", err)
+	}
+
+	// A crash mid-append leaves a torn tail: Parse excludes it and Reopen
+	// truncates it so the next append starts on a fresh line.
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.WriteString("0000000c 1234")
+	f.Close()
+	data, _ := os.ReadFile(path)
+	c, err := Parse(data)
+	if err != nil || !c.TornTail || len(c.Records) != 3 {
+		t.Fatalf("Parse of torn log: %+v, %v", c, err)
+	}
+	if l, err = Reopen(path, c); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Append(rec{"item", 4}); err != nil {
+		t.Fatal(err)
+	}
+	l.Close()
+
+	data, _ = os.ReadFile(path)
+	c, err = Parse(data)
+	if err != nil || c.TornTail || len(c.Records) != 4 {
+		t.Fatalf("Parse after repair: %+v, %v", c, err)
+	}
+	offset := int64(0)
+	for i, r := range c.Records {
+		var got rec
+		if err := r.Decode(&got); err != nil {
+			t.Fatal(err)
+		}
+		if r.N != i+1 || r.Offset != offset || r.Kind != got.Kind || (i > 0 && got.N != []int{1, 2, 4}[i-1]) {
+			t.Fatalf("record %d: %+v decoded %+v", i, r, got)
+		}
+		offset += int64(prefixLen + len(r.Payload) + 1)
+	}
+
+	// Interior damage is refused, naming the damaged record's offset.
+	data[c.Records[2].Offset+prefixLen+3] ^= 0x01
+	if _, err := Parse(data); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("record 3 at offset %d", c.Records[2].Offset)) {
+		t.Fatalf("corrupt record 3: %v", err)
 	}
 }

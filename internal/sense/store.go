@@ -75,10 +75,12 @@ func OpenStore(dir string) (*Store, error) {
 	path := filepath.Join(dir, StoreFileName)
 	if _, err := os.Stat(path); os.IsNotExist(err) {
 		log, err := recfile.Create(path, storeHeader{Kind: "sense-store", Version: storeVersion})
+		if err == nil {
+			err = log.Close()
+		}
 		if err != nil {
 			return nil, err
 		}
-		log.Close()
 	}
 	st, err := LoadStoreState(path)
 	if err != nil {
@@ -88,6 +90,7 @@ func OpenStore(dir string) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
+	st.contents = nil // the store lives on; its records are already in st
 	return &Store{log: log, st: st}, nil
 }
 
