@@ -221,7 +221,7 @@ func BenchmarkFig5ProfilingRun(b *testing.B) {
 func BenchmarkFig6ThresholdReplay(b *testing.B) {
 	measured := syntheticMeasured(64)
 	points := make([]fastfit.Point, len(measured))
-	cache := map[uintptr]fastfit.PointResult{}
+	cache := map[uint64]fastfit.PointResult{}
 	for i, pr := range measured {
 		points[i] = pr.Point
 		cache[pr.Point.Site] = pr
@@ -404,7 +404,7 @@ func syntheticMeasured(n int) []fastfit.PointResult {
 	for i := 0; i < n; i++ {
 		p := fastfit.Point{
 			Rank:        rng.Intn(8),
-			Site:        uintptr(0x1000 + i),
+			Site:        uint64(0x1000 + i),
 			Type:        types[rng.Intn(len(types))],
 			Phase:       mpi.Phase(rng.Intn(4)),
 			ErrHandling: rng.Intn(3) == 0,

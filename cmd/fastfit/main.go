@@ -341,7 +341,7 @@ func runEnvConfigured(engine *fastfit.Engine) error {
 	sites := prof.SitesOnRank(cfgEnv.RankID)
 	refs := make([]fault.SiteRef, 0, len(sites))
 	for _, s := range sites {
-		refs = append(refs, fault.SiteRef{Site: s.PC, Type: s.Type})
+		refs = append(refs, fault.SiteRef{Site: s.Site, Type: s.Type})
 	}
 	rng := rand.New(rand.NewSource(1))
 	faults, err := cfgEnv.Faults(refs, rng)

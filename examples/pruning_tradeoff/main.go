@@ -36,7 +36,7 @@ func main() {
 	// Cache for replay.
 	type key struct {
 		rank int
-		site uintptr
+		site uint64
 		inv  int
 	}
 	cache := map[key]fastfit.PointResult{}

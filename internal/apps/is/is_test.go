@@ -61,7 +61,7 @@ func TestISHistogramCorruptionIsConsistent(t *testing.T) {
 	// after the reduction, so routing stays consistent: the run should
 	// usually complete (SUCCESS) or crash — not deadlock.
 	cfg := apps.Config{Ranks: 4, Scale: 128, Iters: 2, Seed: 5}
-	var site uintptr
+	var site uint64
 	{
 		col := profile.NewCollector(cfg.Ranks)
 		res := runIS(t, cfg, col)
@@ -70,7 +70,7 @@ func TestISHistogramCorruptionIsConsistent(t *testing.T) {
 		}
 		for _, s := range col.Finish().SitesOnRank(0) {
 			if s.Type == mpi.CollAllreduce {
-				site = s.PC
+				site = s.Site
 				break
 			}
 		}
@@ -107,7 +107,7 @@ func TestISCorruptedKeyWithinSlackDegradesGracefully(t *testing.T) {
 	// Keys corrupted into the stray-write window must not crash the run;
 	// they surface through verification instead.
 	cfg := apps.Config{Ranks: 2, Scale: 64, Iters: 1, Seed: 7}
-	var site uintptr
+	var site uint64
 	{
 		col := profile.NewCollector(cfg.Ranks)
 		res := runIS(t, cfg, col)
@@ -116,7 +116,7 @@ func TestISCorruptedKeyWithinSlackDegradesGracefully(t *testing.T) {
 		}
 		for _, s := range col.Finish().SitesOnRank(0) {
 			if s.Type == mpi.CollAlltoallv {
-				site = s.PC
+				site = s.Site
 				break
 			}
 		}

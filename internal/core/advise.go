@@ -87,7 +87,7 @@ func Advise(measured []PointResult, th AdviceThresholds) []Advice {
 		errs   int
 		severe int
 	}
-	bySite := map[uintptr]*agg{}
+	bySite := map[uint64]*agg{}
 	for _, pr := range measured {
 		a := bySite[pr.Point.Site]
 		if a == nil {

@@ -10,7 +10,7 @@ import (
 )
 
 func adviceFixture() []PointResult {
-	mk := func(site uintptr, name string, typ mpi.CollType, outcomes []classify.Outcome) PointResult {
+	mk := func(site uint64, name string, typ mpi.CollType, outcomes []classify.Outcome) PointResult {
 		pr := PointResult{Point: Point{Site: site, SiteName: name, Type: typ}}
 		for _, o := range outcomes {
 			pr.Trials = append(pr.Trials, TrialResult{Target: fault.TargetSendBuf, Outcome: o})

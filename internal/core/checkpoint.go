@@ -24,9 +24,9 @@ import (
 // distributed coordinator's WAL: a replayed append changes nothing.
 
 // checkpointVersion identifies the journal's on-disk schema. Version 1
-// journals were unframed JSONL; they are refused with
-// ErrCheckpointVersion, never read.
-const checkpointVersion = 2
+// journals were unframed JSONL; version 2 keyed sites and stacks by code
+// address. Both are refused with ErrCheckpointVersion, never read.
+const checkpointVersion = 3
 
 // ErrCheckpointMismatch reports a checkpoint whose fingerprint does not
 // match the campaign being run — a stale journal from a different app,
@@ -39,10 +39,7 @@ var ErrCheckpointVersion = errors.New("unsupported checkpoint version")
 
 // CampaignFingerprint identifies one campaign for checkpoint purposes: the
 // application, its configuration, every option that shapes the injection
-// space or the per-trial seeds, and the pruned point list itself. Raw
-// program counters and stack hashes are deliberately excluded — they are
-// stable within a process but not across rebuilds, and a checkpoint must
-// survive a restart of the tool.
+// space or the per-trial seeds, and the pruned point list itself.
 func CampaignFingerprint(appName string, cfg apps.Config, opts Options, points []Point) string {
 	o := opts.withDefaults()
 	h := fnv.New64a()

@@ -180,7 +180,7 @@ func frameJournal(payloads ...string) []byte {
 	return out
 }
 
-const testCkptHeader = `{"kind":"header","version":2,"fingerprint":"fp","totalPoints":3}`
+const testCkptHeader = `{"kind":"header","version":3,"fingerprint":"fp","totalPoints":3}`
 
 func TestCheckpointRejectsMissingHeaderAndBadRecords(t *testing.T) {
 	dir := t.TempDir()
@@ -337,5 +337,13 @@ func TestCheckpointRefusesVersion1(t *testing.T) {
 	}
 	if _, err := LoadCheckpointState(framedV1, "fp"); !errors.Is(err, ErrCheckpointVersion) {
 		t.Fatalf("framed version-1 header: want ErrCheckpointVersion, got %v", err)
+	}
+	// Version 2 journals keyed sites and stacks by code address.
+	framedV2 := filepath.Join(dir, "v2.ckpt")
+	if err := os.WriteFile(framedV2, frameJournal(`{"kind":"header","version":2,"fingerprint":"fp"}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadCheckpointState(framedV2, "fp"); !errors.Is(err, ErrCheckpointVersion) {
+		t.Fatalf("framed version-2 header: want ErrCheckpointVersion, got %v", err)
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"testing"
 	"time"
 
@@ -85,8 +86,9 @@ func TestEnumeratePointsCompleteAndSorted(t *testing.T) {
 	}
 	for i := 1; i < len(points); i++ {
 		a, b := points[i-1], points[i]
-		if a.Rank > b.Rank || (a.Rank == b.Rank && a.Site > b.Site) {
-			t.Fatal("points not sorted")
+		if c := cmp.Or(cmp.Compare(a.Rank, b.Rank), mpi.CompareSites(a.SiteName, a.Site, b.SiteName, b.Site),
+			cmp.Compare(a.Invocation, b.Invocation)); c >= 0 {
+			t.Fatalf("points not in (rank, site, invocation) order: %v before %v", a, b)
 		}
 	}
 	// Features must be filled in.

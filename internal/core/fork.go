@@ -31,7 +31,7 @@ import (
 // share it, so one snapshot serves the whole trial budget.
 type forkKey struct {
 	rank int
-	site uintptr
+	site uint64
 	inv  int
 }
 

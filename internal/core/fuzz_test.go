@@ -19,7 +19,7 @@ const fuzzFingerprint = "00000000deadbeef"
 // fuzzJournal builds a well-formed, framed journal with the given records
 // so the corpus starts from inputs that exercise the full decode path.
 func fuzzJournal(records ...string) []byte {
-	return fuzzHeader(2, fuzzFingerprint, records...)
+	return fuzzHeader(checkpointVersion, fuzzFingerprint, records...)
 }
 
 func fuzzHeader(version int, fingerprint string, records ...string) []byte {
@@ -47,8 +47,9 @@ func FuzzLoadCheckpoint(f *testing.F) {
 	// Refine record without its point record.
 	f.Add(fuzzJournal(fuzzRefineRecord))
 	// Wrong fingerprint, unsupported versions, unframed version-1 journal.
-	f.Add(fuzzHeader(2, "ffffffffffffffff"))
+	f.Add(fuzzHeader(checkpointVersion, "ffffffffffffffff"))
 	f.Add(fuzzHeader(99, fuzzFingerprint))
+	f.Add(fuzzHeader(2, fuzzFingerprint))
 	f.Add(fuzzHeader(1, fuzzFingerprint))
 	f.Add([]byte(`{"kind":"header","version":1,"fingerprint":"` + fuzzFingerprint + `","app":"is","ranks":8,"totalPoints":4}` + "\n" + fuzzPointRecord + "\n"))
 	// Out-of-range outcome enum and point index.

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 
 	"github.com/fastfit/fastfit/internal/classify"
 	"github.com/fastfit/fastfit/internal/fault"
@@ -17,7 +16,7 @@ import (
 // P2PPoint is one point-to-point fault injection point with its features.
 type P2PPoint struct {
 	Rank       int
-	Site       uintptr
+	Site       uint64
 	SiteName   string
 	Kind       mpi.P2PKind
 	Invocation int
@@ -52,7 +51,7 @@ type P2PTrialResult struct {
 func (pr *P2PPointResult) ErrorRate() float64 { return pr.Counts.ErrorRate() }
 
 // P2PPoints enumerates the point-to-point fault-injection space from the
-// profile, sorted deterministically.
+// profile in (rank, site, invocation) order.
 func (e *Engine) P2PPoints() ([]P2PPoint, error) {
 	prof, err := e.Profile()
 	if err != nil {
@@ -63,7 +62,7 @@ func (e *Engine) P2PPoints() ([]P2PPoint, error) {
 		for _, iv := range s.Invs {
 			out = append(out, P2PPoint{
 				Rank:        s.Rank,
-				Site:        s.PC,
+				Site:        s.Site,
 				SiteName:    s.Name,
 				Kind:        s.Kind,
 				Invocation:  iv.Index,
@@ -76,16 +75,6 @@ func (e *Engine) P2PPoints() ([]P2PPoint, error) {
 			})
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i], out[j]
-		if a.Rank != b.Rank {
-			return a.Rank < b.Rank
-		}
-		if a.Site != b.Site {
-			return a.Site < b.Site
-		}
-		return a.Invocation < b.Invocation
-	})
 	return out, nil
 }
 
@@ -98,7 +87,7 @@ func ContextPruneP2P(points []P2PPoint) ([]P2PPoint, float64) {
 	}
 	type stackKey struct {
 		rank  int
-		site  uintptr
+		site  uint64
 		stack uint64
 	}
 	seen := make(map[stackKey]bool)

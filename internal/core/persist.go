@@ -83,7 +83,7 @@ type senseAdviceJSON struct {
 
 func pointToJSON(p Point) pointJSON {
 	return pointJSON{
-		Rank: p.Rank, Site: uint64(p.Site), SiteName: p.SiteName,
+		Rank: p.Rank, Site: p.Site, SiteName: p.SiteName,
 		Type: int32(p.Type), Invocation: p.Invocation, StackHash: p.StackHash,
 		Phase: int32(p.Phase), ErrHandling: p.ErrHandling, IsRoot: p.IsRoot,
 		NInv: p.NInv, StackDepth: p.StackDepth, NDiffStacks: p.NDiffStacks,
@@ -92,7 +92,7 @@ func pointToJSON(p Point) pointJSON {
 
 func pointFromJSON(j pointJSON) Point {
 	return Point{
-		Rank: j.Rank, Site: uintptr(j.Site), SiteName: j.SiteName,
+		Rank: j.Rank, Site: j.Site, SiteName: j.SiteName,
 		Type: mpi.CollType(j.Type), Invocation: j.Invocation, StackHash: j.StackHash,
 		Phase: mpi.Phase(j.Phase), ErrHandling: j.ErrHandling, IsRoot: j.IsRoot,
 		NInv: j.NInv, StackDepth: j.StackDepth, NDiffStacks: j.NDiffStacks,

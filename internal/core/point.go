@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 
 	"github.com/fastfit/fastfit/internal/classify"
 	"github.com/fastfit/fastfit/internal/fault"
@@ -15,7 +14,7 @@ import (
 // consumes (paper §III-C).
 type Point struct {
 	Rank       int
-	Site       uintptr
+	Site       uint64
 	SiteName   string
 	Type       mpi.CollType
 	Invocation int
@@ -120,15 +119,15 @@ func (pr *PointResult) MajorityOutcome() classify.Outcome {
 	return best
 }
 
-// enumeratePoints expands a profile into the full fault-injection space,
-// sorted deterministically.
+// enumeratePoints expands a profile into the full fault-injection space in
+// (rank, site, invocation) order, the order SiteList yields.
 func enumeratePoints(p *profile.Profile) []Point {
 	var out []Point
 	for _, s := range p.SiteList() {
 		for _, iv := range s.Invs {
 			out = append(out, Point{
 				Rank:        s.Rank,
-				Site:        s.PC,
+				Site:        s.Site,
 				SiteName:    s.Name,
 				Type:        s.Type,
 				Invocation:  iv.Index,
@@ -142,15 +141,5 @@ func enumeratePoints(p *profile.Profile) []Point {
 			})
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i], out[j]
-		if a.Rank != b.Rank {
-			return a.Rank < b.Rank
-		}
-		if a.Site != b.Site {
-			return a.Site < b.Site
-		}
-		return a.Invocation < b.Invocation
-	})
 	return out
 }

@@ -26,10 +26,10 @@ func SemanticPrune(prof *profile.Profile, points []Point) ([]Point, float64) {
 		return equivKey{prof.CallGraphHash[rank], prof.TraceHash[rank]}
 	}
 
-	// For each static call site (PC) and role, keep the lowest rank of
+	// For each static call site and role, keep the lowest rank of
 	// each equivalence class.
 	type groupKey struct {
-		site   uintptr
+		site   uint64
 		isRoot bool
 		class  equivKey
 	}
@@ -61,7 +61,7 @@ func ContextPrune(points []Point) ([]Point, float64) {
 	}
 	type stackKey struct {
 		rank  int
-		site  uintptr
+		site  uint64
 		stack uint64
 	}
 	seen := make(map[stackKey]bool)

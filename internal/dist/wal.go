@@ -28,8 +28,9 @@ import (
 // truncates away; corruption anywhere before the tail is reported as an
 // error naming the byte offset, never silently skipped.
 
-// walVersion identifies the WAL's on-disk schema.
-const walVersion = 1
+// walVersion identifies the WAL's on-disk schema. Version 1 logs keyed
+// sites and stacks by code address; they are refused, never read.
+const walVersion = 2
 
 // WALFileName is the log's file name inside a campaign store directory.
 const WALFileName = "wal.jsonl"

@@ -15,6 +15,7 @@ import (
 	"github.com/fastfit/fastfit/internal/apps/all"
 	"github.com/fastfit/fastfit/internal/core"
 	"github.com/fastfit/fastfit/internal/dist"
+	"github.com/fastfit/fastfit/internal/recfile"
 )
 
 // buildPartialWAL runs a real campaign against a durable coordinator until
@@ -193,6 +194,30 @@ func TestWALInteriorCorruptionNamesOffset(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "checksum") {
 		t.Errorf("corruption error %q does not mention the checksum", err)
+	}
+}
+
+// A version-1 log keyed its sites by code address; OpenWAL must refuse it
+// rather than replay records whose sites no longer mean anything.
+func TestOpenWALRefusesVersion1(t *testing.T) {
+	dir, _ := buildPartialWAL(t, 7, 1)
+	path := walPath(dir)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := bytes.IndexByte(data, '\n') + 1
+	payload := bytes.SplitN(data[:first-1], []byte(" "), 3)[2]
+	if !bytes.Contains(payload, []byte(`"kind":"open","version":2,`)) {
+		t.Fatalf("first record is not a version-2 open record: %s", payload)
+	}
+	v1 := bytes.Replace(payload, []byte(`"version":2`), []byte(`"version":1`), 1)
+	data = append(recfile.EncodeLine(v1), data[first:]...)
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := dist.OpenWAL(dir); err == nil || !strings.Contains(err.Error(), "unsupported version") {
+		t.Fatalf("OpenWAL of a version-1 log: got %v, want an unsupported version error", err)
 	}
 }
 

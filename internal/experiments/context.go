@@ -1,7 +1,9 @@
 package experiments
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"github.com/fastfit/fastfit/internal/apps/minimd"
@@ -36,7 +38,7 @@ func Fig3(st *Store) (*Result, error) {
 	// Pick the Allreduce site on rank 0 with the most same-stack
 	// invocations in the compute phase.
 	type key struct {
-		site  uintptr
+		site  uint64
 		stack uint64
 	}
 	groups := map[key][]core.Point{}
@@ -62,7 +64,10 @@ func Fig3(st *Store) (*Result, error) {
 			candidates = append(candidates, g)
 		}
 	}
-	sort.Slice(candidates, func(i, j int) bool { return candidates[i][0].Site < candidates[j][0].Site })
+	slices.SortFunc(candidates, func(a, b []core.Point) int {
+		return cmp.Or(mpi.CompareSites(a[0].SiteName, a[0].Site, b[0].SiteName, b[0].Site),
+			cmp.Compare(a[0].StackHash, b[0].StackHash))
+	})
 	var best []core.Point
 	bestScore := -1.0
 	for ci, g := range candidates {

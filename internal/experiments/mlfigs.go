@@ -63,7 +63,7 @@ func Fig6(st *Store) (*Result, error) {
 	// Cache the measured results by point identity for replay.
 	type pkey struct {
 		rank int
-		site uintptr
+		site uint64
 		inv  int
 	}
 	cache := map[pkey]core.PointResult{}

@@ -79,8 +79,9 @@ func ParseConfig(getenv func(string) string) (Config, error) {
 }
 
 // Faults expands the config into concrete faults against a site table
-// (CALL_ID indexes sites in profiling order) using rng for the per-fault
-// bit positions. The parameter id indexes the target list of the site's
+// (CALL_ID indexes the rank's sites in (function, line) order, as
+// profile.SitesOnRank lists them) using rng for the per-fault bit
+// positions. The parameter id indexes the target list of the site's
 // collective type.
 func (c Config) Faults(sites []SiteRef, rng interface{ Intn(int) int }) ([]Fault, error) {
 	if c.NumInj <= 0 {
@@ -107,9 +108,9 @@ func (c Config) Faults(sites []SiteRef, rng interface{ Intn(int) int }) ([]Fault
 	return out, nil
 }
 
-// SiteRef pairs a call-site PC with its collective type, the unit CALL_ID
-// addresses.
+// SiteRef pairs a call-site identity with its collective type, the unit
+// CALL_ID addresses.
 type SiteRef struct {
-	Site uintptr
+	Site uint64
 	Type mpi.CollType
 }

@@ -81,9 +81,9 @@ func TargetsFor(t mpi.CollType) []Target {
 
 // Fault is one planned bit flip, addressed to a fault injection point.
 type Fault struct {
-	Rank       int     // world rank to corrupt
-	Site       uintptr // call-site PC, from the profiling run
-	Invocation int     // which invocation of the site on that rank
+	Rank       int    // world rank to corrupt
+	Site       uint64 // call-site identity (mpi.CollectiveCall.Site), from the profiling run
+	Invocation int    // which invocation of the site on that rank
 	Target     Target
 	Bit        int // raw bit index; wrapped to the target's width at apply time
 }
@@ -95,7 +95,7 @@ func (f Fault) String() string {
 // RandomFault draws a uniformly random (target, bit) pair for a collective
 // type, matching the paper's per-test randomisation. Buffer bit indices
 // wrap to the buffer length at apply time, so a large range is used here.
-func RandomFault(rng *rand.Rand, rank int, site uintptr, invocation int, collType mpi.CollType) Fault {
+func RandomFault(rng *rand.Rand, rank int, site uint64, invocation int, collType mpi.CollType) Fault {
 	ts := TargetsFor(collType)
 	target := ts[rng.Intn(len(ts))]
 	bit := rng.Intn(1 << 20)
@@ -108,7 +108,7 @@ func RandomFault(rng *rand.Rand, rank int, site uintptr, invocation int, collTyp
 // Collectives without a data buffer (MPI_Barrier) fall back to a random
 // input parameter — which is why faulty barriers are so lethal in the
 // paper's Figures 8 and 11.
-func DataBufferFault(rng *rand.Rand, rank int, site uintptr, invocation int, collType mpi.CollType) Fault {
+func DataBufferFault(rng *rand.Rand, rank int, site uint64, invocation int, collType mpi.CollType) Fault {
 	for _, t := range TargetsFor(collType) {
 		if t == TargetSendBuf {
 			return Fault{Rank: rank, Site: site, Invocation: invocation, Target: TargetSendBuf, Bit: rng.Intn(1 << 20)}
@@ -118,7 +118,7 @@ func DataBufferFault(rng *rand.Rand, rank int, site uintptr, invocation int, col
 }
 
 // RandomFaultOn draws a random bit for a fixed target.
-func RandomFaultOn(rng *rand.Rand, rank int, site uintptr, invocation int, target Target) Fault {
+func RandomFaultOn(rng *rand.Rand, rank int, site uint64, invocation int, target Target) Fault {
 	return Fault{Rank: rank, Site: site, Invocation: invocation, Target: target, Bit: rng.Intn(1 << 20)}
 }
 

@@ -231,7 +231,7 @@ func netDropCount(bit, n int) int {
 // a transient drop burst, or a node crash at the addressed collective. The
 // peer/burst parameters are packed into Bit (decoded at apply time), so the
 // fault serialises exactly like a parameter flip.
-func RandomNetFault(rng *rand.Rand, rank int, site uintptr, invocation int, nRanks int) Fault {
+func RandomNetFault(rng *rand.Rand, rank int, site uint64, invocation int, nRanks int) Fault {
 	targets := [...]Target{TargetNetLink, TargetNetDrop, TargetNetNode}
 	target := targets[rng.Intn(len(targets))]
 	bit := rng.Intn(1 << 20)

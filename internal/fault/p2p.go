@@ -45,7 +45,7 @@ func P2PTargetsFor(kind mpi.P2PKind) []P2PTarget {
 // P2PFault is one planned bit flip in a point-to-point call.
 type P2PFault struct {
 	Rank       int
-	Site       uintptr
+	Site       uint64
 	Invocation int
 	Target     P2PTarget
 	Bit        int
@@ -56,7 +56,7 @@ func (f P2PFault) String() string {
 }
 
 // RandomP2PFault draws a uniform (target, bit) pair for a p2p kind.
-func RandomP2PFault(rng *rand.Rand, rank int, site uintptr, invocation int, kind mpi.P2PKind) P2PFault {
+func RandomP2PFault(rng *rand.Rand, rank int, site uint64, invocation int, kind mpi.P2PKind) P2PFault {
 	ts := P2PTargetsFor(kind)
 	return P2PFault{
 		Rank: rank, Site: site, Invocation: invocation,

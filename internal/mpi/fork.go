@@ -77,7 +77,7 @@ func (f *Fork) ReplayedEvents() int {
 // collective at (rank, site, invocation). It returns nil when the trace is
 // not forkable or the addressed call does not appear on the tape (the
 // trial then falls back to full replay).
-func (t *Trace) Fork(rank int, site uintptr, invocation int) *Fork {
+func (t *Trace) Fork(rank int, site uint64, invocation int) *Fork {
 	if !t.Forkable() || rank < 0 || rank >= len(t.ranks) {
 		return nil
 	}

@@ -57,7 +57,7 @@ func forkTestApp(r *Rank) error {
 type countInjector struct {
 	NopHook
 	rank  int
-	site  uintptr
+	site  uint64
 	inv   int
 	fired bool
 }

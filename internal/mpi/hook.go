@@ -1,8 +1,10 @@
 package mpi
 
 import (
+	"cmp"
 	"fmt"
 	"runtime"
+	"strconv"
 	"strings"
 )
 
@@ -72,36 +74,20 @@ type Args struct {
 
 // CollectiveCall describes one invocation of a collective on one rank, with
 // the application context FastFIT profiles: call site, invocation index,
-// call stack, phase and error-handling annotation.
+// call stack, phase and error-handling annotation. Site and StackHash are
+// symbolic (see resolveStack), so they are identical across builds of the
+// same source.
 type CollectiveCall struct {
 	Rank        int
 	Type        CollType
-	Site        uintptr   // PC identifying the application call site
-	Invocation  int       // 0-based count of this site's invocations on this rank
-	Stack       []uintptr // application-side call stack (innermost first)
+	Site        uint64   // identifies the application call site
+	SiteName    string   // the call site as "func file:line"
+	Invocation  int      // 0-based count of this site's invocations on this rank
+	Stack       []uint64 // application-side frames (innermost first): the site, then each caller's function
 	StackHash   uint64
 	Phase       Phase
 	ErrHandling bool
 	Args        *Args
-}
-
-// SiteName renders the call site as "func file:line".
-func (c *CollectiveCall) SiteName() string { return describePC(c.Site) }
-
-func describePC(pc uintptr) string {
-	f := runtime.FuncForPC(pc)
-	if f == nil {
-		return fmt.Sprintf("pc:%#x", pc)
-	}
-	file, line := f.FileLine(pc)
-	if i := strings.LastIndexByte(file, '/'); i >= 0 {
-		file = file[i+1:]
-	}
-	name := f.Name()
-	if i := strings.LastIndexByte(name, '/'); i >= 0 {
-		name = name[i+1:]
-	}
-	return fmt.Sprintf("%s %s:%d", name, file, line)
 }
 
 // Hook observes (and in the injector's case mutates) collective calls.
@@ -138,22 +124,15 @@ const collectiveWorkCharge = 2000
 // assigns the invocation index and runs the world hook.
 func (r *Rank) beginCollective(t CollType, args *Args) *CollectiveCall {
 	r.Tick(collectiveWorkCharge)
-	n := runtime.Callers(2, r.pcbuf[:])
-	st := r.lookupStack(r.pcbuf[:n])
-	var site uintptr
-	if len(st.stack) > 0 {
-		site = st.stack[0]
-	}
-	inv := r.invents[site]
-	r.invents[site] = inv + 1
-
+	st, inv := r.callSite()
 	call := r.newCollCall()
 	*call = CollectiveCall{
 		Rank:        r.id,
 		Type:        t,
-		Site:        site,
+		Site:        st.site,
+		SiteName:    st.name,
 		Invocation:  inv,
-		Stack:       st.stack,
+		Stack:       st.frames,
 		StackHash:   st.hash,
 		Phase:       r.phase,
 		ErrHandling: r.errHandling,
@@ -165,6 +144,17 @@ func (r *Rank) beginCollective(t CollType, args *Args) *CollectiveCall {
 	return call
 }
 
+// callSite resolves the application frame that called the MPI entry point
+// above it (through the rank's stack memo) and assigns that site's next
+// invocation index on this rank.
+func (r *Rank) callSite() (stackEntry, int) {
+	n := runtime.Callers(3, r.pcbuf[:])
+	st := r.lookupStack(r.pcbuf[:n])
+	inv := r.invents[st.site]
+	r.invents[st.site] = inv + 1
+	return st, inv
+}
+
 func (r *Rank) endCollective(call *CollectiveCall) {
 	if r.world.rec != nil {
 		r.world.rec.recordCollective(r, call)
@@ -174,43 +164,60 @@ func (r *Rank) endCollective(call *CollectiveCall) {
 	}
 }
 
-// trimToApp drops the runtime frames belonging to this package, leaving the
-// application-side stack. The first entry is the precise call-site PC (it
-// identifies the static MPI call site); caller frames above it are
-// normalised to function-entry PCs, because the paper defines call-stack
-// equivalence at function granularity: "the same call stack means that the
-// active functions are the same and called in the same order", regardless
-// of the exact line within each caller.
-func trimToApp(pcs []uintptr) []uintptr {
-	out := make([]uintptr, 0, len(pcs))
+// resolveStack turns a raw runtime.Callers array into its symbolic
+// application-side stack, dropping this package's frames. The innermost
+// remaining frame is the call site: Site is FNV-1a over "function
+// file:line" (full function name, file base name) and the name is that
+// string with the package path cut. Callers count by function name
+// alone, because the paper defines stack equivalence at function
+// granularity ("the active functions are the same and called in the same
+// order"); StackHash is FNV-1a over the site and those callers, innermost
+// first. No part depends on code addresses, so every build of the same
+// source agrees on all of them.
+func resolveStack(pcs []uintptr) stackEntry {
+	var e stackEntry
 	frames := runtime.CallersFrames(pcs)
 	for {
 		fr, more := frames.Next()
 		if fr.PC != 0 && !strings.HasPrefix(fr.Function, pkgPrefix) && fr.Function != "runtime.Callers" {
-			pc := fr.PC
-			if len(out) > 0 && fr.Entry != 0 {
-				pc = fr.Entry
+			if e.frames == nil {
+				loc := fmt.Sprintf("%s:%d", fr.File[strings.LastIndexByte(fr.File, '/')+1:], fr.Line)
+				e.site = fnvString(fr.Function + " " + loc)
+				e.name = fr.Function[strings.LastIndexByte(fr.Function, '/')+1:] + " " + loc
+				e.frames = append(e.frames, e.site)
+			} else {
+				e.frames = append(e.frames, fnvString(fr.Function))
 			}
-			out = append(out, pc)
 		}
 		if !more {
 			break
 		}
 	}
-	return out
+	e.hash = hashWords(e.frames)
+	return e
 }
 
 // FNV-1a, computed inline so the per-call hash allocates nothing. The
-// values are identical to hash/fnv over the little-endian PC bytes.
+// values are identical to hash/fnv over the bytes (little-endian for
+// words).
 const (
 	fnvOffset64 = 14695981039346656037
 	fnvPrime64  = 1099511628211
 )
 
-func hashStack(pcs []uintptr) uint64 {
+func fnvString(s string) uint64 {
 	h := uint64(fnvOffset64)
-	for _, pc := range pcs {
-		v := uint64(pc)
+	for i := 0; i < len(s); i++ {
+		h ^= uint64(s[i])
+		h *= fnvPrime64
+	}
+	return h
+}
+
+func hashWords[W uintptr | uint64](ws []W) uint64 {
+	h := uint64(fnvOffset64)
+	for _, w := range ws {
+		v := uint64(w)
 		for i := 0; i < 8; i++ {
 			h ^= uint64(byte(v >> (8 * i)))
 			h *= fnvPrime64
@@ -219,5 +226,18 @@ func hashStack(pcs []uintptr) uint64 {
 	return h
 }
 
-// hashPCs keys the per-rank stack cache by the raw (untrimmed) PC array.
-func hashPCs(pcs []uintptr) uint64 { return hashStack(pcs) }
+// CompareSites orders call sites by function, then line, read from their
+// "func file:line" names, and same-named sites by identity. It is the one
+// build-stable site order: CALL_ID counts sites in it, and every
+// deterministic site listing uses it.
+func CompareSites(nameA string, siteA uint64, nameB string, siteB uint64) int {
+	fa, la := splitSiteName(nameA)
+	fb, lb := splitSiteName(nameB)
+	return cmp.Or(strings.Compare(fa, fb), cmp.Compare(la, lb), cmp.Compare(siteA, siteB))
+}
+
+func splitSiteName(name string) (fn string, line int) {
+	fn, _, _ = strings.Cut(name, " ")
+	line, _ = strconv.Atoi(name[strings.LastIndexByte(name, ':')+1:])
+	return fn, line
+}

@@ -1,7 +1,6 @@
 package mpi
 
 import (
-	"runtime"
 	"strings"
 	"testing"
 )
@@ -150,21 +149,6 @@ func TestCombineAllTypes(t *testing.T) {
 	combine(OpLand, Int32, ia.Bytes(), ib.Bytes(), 1)
 	if ia.Int32(0) != 0 {
 		t.Errorf("int32 LAND = %d", ia.Int32(0))
-	}
-}
-
-func TestDescribePC(t *testing.T) {
-	var pcs [8]uintptr
-	n := runtime.Callers(2, pcs[:]) // skip Callers itself and this frame's call
-	if n == 0 {
-		t.Fatal("no callers captured")
-	}
-	s := describePC(pcs[0])
-	if !strings.Contains(s, "hook_test.go") && !strings.Contains(s, "testing.go") {
-		t.Errorf("describePC = %q", s)
-	}
-	if describePC(0) == "" {
-		t.Error("zero PC should still render")
 	}
 }
 

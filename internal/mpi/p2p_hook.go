@@ -1,9 +1,6 @@
 package mpi
 
-import (
-	"fmt"
-	"runtime"
-)
+import "fmt"
 
 // The paper's conclusion notes that FastFIT's techniques "can be applied
 // to other programming elements of an HPC application" beyond collectives
@@ -39,20 +36,18 @@ type P2PArgs struct {
 type P2PCall struct {
 	Rank        int
 	Kind        P2PKind
-	Site        uintptr
+	Site        uint64
+	SiteName    string
 	Invocation  int
-	Stack       []uintptr
+	Stack       []uint64
 	StackHash   uint64
 	Phase       Phase
 	ErrHandling bool
 	Args        *P2PArgs
 }
 
-// SiteName renders the call site as "func file:line".
-func (c *P2PCall) SiteName() string { return describePC(c.Site) }
-
 func (c *P2PCall) String() string {
-	return fmt.Sprintf("rank %d %v peer %d tag %d (%s)", c.Rank, c.Kind, c.Args.Peer, c.Args.Tag, c.SiteName())
+	return fmt.Sprintf("rank %d %v peer %d tag %d (%s)", c.Rank, c.Kind, c.Args.Peer, c.Args.Tag, c.SiteName)
 }
 
 // P2PHook extends Hook for observers that also want point-to-point events.
@@ -72,21 +67,15 @@ func (r *Rank) beginP2P(kind P2PKind, a P2PArgs) *P2PArgs {
 	if !ok {
 		return args
 	}
-	n := runtime.Callers(2, r.pcbuf[:])
-	st := r.lookupStack(r.pcbuf[:n])
-	var site uintptr
-	if len(st.stack) > 0 {
-		site = st.stack[0]
-	}
-	inv := r.invents[site]
-	r.invents[site] = inv + 1
+	st, inv := r.callSite()
 	call := r.newP2PCall()
 	*call = P2PCall{
 		Rank:        r.id,
 		Kind:        kind,
-		Site:        site,
+		Site:        st.site,
+		SiteName:    st.name,
 		Invocation:  inv,
-		Stack:       st.stack,
+		Stack:       st.frames,
 		StackHash:   st.hash,
 		Phase:       r.phase,
 		ErrHandling: r.errHandling,

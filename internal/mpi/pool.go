@@ -88,14 +88,16 @@ func putSlab(s *slab) {
 	slabPools[slabClass(n)].Put(s)
 }
 
-// stackEntry is one memoised call stack: the trimmed application-side
-// stack and its hash, keyed by the hash of the raw PC array. Raw return
-// PCs are stable for a given static call path within one process, so after
-// the first occurrence a collective entry costs no CallersFrames walk and
-// no stack allocation.
+// stackEntry is one memoised call stack in symbolic form (see
+// resolveStack): the site identity and name, the application-side frames
+// and their hash. Raw return PCs are stable for a given static call path
+// within one process, so after the first occurrence a collective entry
+// costs no CallersFrames walk and no allocation.
 type stackEntry struct {
-	stack []uintptr
-	hash  uint64
+	site   uint64
+	name   string
+	frames []uint64
+	hash   uint64
 }
 
 // collFrame holds a rank's reusable hook records. With pooling on, every
@@ -178,7 +180,7 @@ func newShell(n, mailbox int) *runShell {
 		sh.ranks[i] = &Rank{
 			id:      i,
 			inbox:   make(chan message, mailbox),
-			invents: make(map[uintptr]int),
+			invents: make(map[uint64]int),
 		}
 	}
 	return sh
@@ -325,16 +327,16 @@ func (r *Rank) newP2PCall() *P2PCall {
 	return new(P2PCall)
 }
 
-// lookupStack memoises trimToApp + hashStack for a raw PC array. The cache
-// lives on the rank and survives run recycling: PCs are process-stable, so
-// a campaign pays the CallersFrames walk once per distinct call path.
+// lookupStack memoises resolveStack, keyed by a hash of the raw PC array.
+// The cache lives on the rank and survives run recycling: PCs are
+// process-stable, so a campaign pays the CallersFrames walk once per
+// distinct call path.
 func (r *Rank) lookupStack(pcs []uintptr) stackEntry {
-	key := hashPCs(pcs)
+	key := hashWords(pcs)
 	if e, ok := r.stacks[key]; ok {
 		return e
 	}
-	st := trimToApp(pcs)
-	e := stackEntry{stack: st, hash: hashStack(st)}
+	e := resolveStack(pcs)
 	if r.stacks == nil {
 		r.stacks = make(map[uint64]stackEntry)
 	}

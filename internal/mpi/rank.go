@@ -85,7 +85,7 @@ type Rank struct {
 	errHandling bool
 
 	collSeq map[Comm]int64 // per-communicator collective sequence numbers
-	invents map[uintptr]int
+	invents map[uint64]int
 	libSeq  map[string]int // resilient-library invocation counters (see LibSeq)
 
 	work   int64 // accumulated work units (see Tick)
@@ -95,7 +95,7 @@ type Rank struct {
 
 	// Arena state (see pool.go). owned tracks pooled Buffers handed out
 	// this run; bufFree recycles Buffer headers across runs; frame/p2p are
-	// the reusable hook records; stacks memoises trimmed call stacks.
+	// the reusable hook records; stacks memoises resolved call stacks.
 	owned   []*Buffer
 	bufFree []*Buffer
 	frame   collFrame

@@ -58,7 +58,7 @@ type traceEvent struct {
 	// evColl context, mirrored into forked trials so invocation counters,
 	// sequence numbers and work charges stay identical to a live run.
 	coll CollType
-	site uintptr
+	site uint64
 	inv  int32
 	seq  int64
 }

@@ -13,8 +13,10 @@
 package profile
 
 import (
+	"cmp"
 	"fmt"
 	"hash/fnv"
+	"slices"
 	"sort"
 	"sync"
 
@@ -35,7 +37,7 @@ type Invocation struct {
 // Site aggregates all invocations of one call site on one rank.
 type Site struct {
 	Rank     int
-	PC       uintptr
+	Site     uint64
 	Name     string
 	Type     mpi.CollType
 	Invs     []Invocation
@@ -78,14 +80,14 @@ func (s *Site) ErrHandlingFraction() float64 {
 // SiteKey identifies a call site on a rank.
 type SiteKey struct {
 	Rank int
-	PC   uintptr
+	Site uint64
 }
 
 // P2PSite aggregates the invocations of one point-to-point call site on
 // one rank (the future-work extension beyond collectives).
 type P2PSite struct {
 	Rank     int
-	PC       uintptr
+	Site     uint64
 	Name     string
 	Kind     mpi.P2PKind
 	Invs     []Invocation
@@ -112,18 +114,17 @@ type Profile struct {
 	TraceHash     []uint64 // hash of the communication event sequence
 }
 
-// SiteList returns all sites sorted by (rank, pc) for deterministic
-// iteration.
+// SiteList returns all sites sorted by rank, then in mpi.CompareSites
+// order, for deterministic iteration. Each site's invocations are already
+// in invocation order, so walking the list yields points in (rank, site,
+// invocation) order.
 func (p *Profile) SiteList() []*Site {
 	out := make([]*Site, 0, len(p.Sites))
 	for _, s := range p.Sites {
 		out = append(out, s)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Rank != out[j].Rank {
-			return out[i].Rank < out[j].Rank
-		}
-		return out[i].PC < out[j].PC
+	slices.SortFunc(out, func(a, b *Site) int {
+		return cmp.Or(cmp.Compare(a.Rank, b.Rank), mpi.CompareSites(a.Name, a.Site, b.Name, b.Site))
 	})
 	return out
 }
@@ -138,7 +139,8 @@ func (p *Profile) TotalPoints() int {
 	return n
 }
 
-// SitesOnRank returns rank's sites sorted by pc (the CALL_ID ordering).
+// SitesOnRank returns rank's sites in (function, line) order: CALL_ID n
+// is the n-th of them, the same site in every build of the same source.
 func (p *Profile) SitesOnRank(rank int) []*Site {
 	var out []*Site
 	for _, s := range p.Sites {
@@ -146,7 +148,7 @@ func (p *Profile) SitesOnRank(rank int) []*Site {
 			out = append(out, s)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].PC < out[j].PC })
+	slices.SortFunc(out, func(a, b *Site) int { return mpi.CompareSites(a.Name, a.Site, b.Name, b.Site) })
 	return out
 }
 
@@ -162,7 +164,7 @@ type Collector struct {
 	trace    []*fnvState         // per-rank streaming trace hash
 }
 
-type edge struct{ from, to uintptr }
+type edge struct{ from, to uint64 }
 
 type fnvState struct{ h uint64 }
 
@@ -199,13 +201,13 @@ var _ mpi.Hook = (*Collector)(nil)
 func (c *Collector) BeforeCollective(call *mpi.CollectiveCall) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	key := SiteKey{Rank: call.Rank, PC: call.Site}
+	key := SiteKey{Rank: call.Rank, Site: call.Site}
 	s := c.sites[key]
 	if s == nil {
 		s = &Site{
 			Rank:     call.Rank,
-			PC:       call.Site,
-			Name:     call.SiteName(),
+			Site:     call.Site,
+			Name:     call.SiteName,
 			Type:     call.Type,
 			numStack: make(map[uint64]int),
 		}
@@ -237,7 +239,7 @@ func (c *Collector) BeforeCollective(call *mpi.CollectiveCall) {
 		if isRoot {
 			rootFlag = 1
 		}
-		c.trace[call.Rank].mix(uint64(call.Type), uint64(call.Site), call.StackHash, rootFlag)
+		c.trace[call.Rank].mix(uint64(call.Type), call.Site, call.StackHash, rootFlag)
 	}
 }
 
@@ -246,13 +248,13 @@ func (c *Collector) BeforeCollective(call *mpi.CollectiveCall) {
 func (c *Collector) BeforeP2P(call *mpi.P2PCall) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	key := SiteKey{Rank: call.Rank, PC: call.Site}
+	key := SiteKey{Rank: call.Rank, Site: call.Site}
 	s := c.p2pSites[key]
 	if s == nil {
 		s = &P2PSite{
 			Rank:     call.Rank,
-			PC:       call.Site,
-			Name:     call.SiteName(),
+			Site:     call.Site,
+			Name:     call.SiteName,
 			Kind:     call.Kind,
 			numStack: make(map[uint64]int),
 		}
@@ -269,17 +271,14 @@ func (c *Collector) BeforeP2P(call *mpi.P2PCall) {
 	s.numStack[call.StackHash]++
 }
 
-// P2PSiteList returns the point-to-point sites sorted by (rank, pc).
+// P2PSiteList returns the point-to-point sites in SiteList's order.
 func (p *Profile) P2PSiteList() []*P2PSite {
 	out := make([]*P2PSite, 0, len(p.P2PSites))
 	for _, s := range p.P2PSites {
 		out = append(out, s)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Rank != out[j].Rank {
-			return out[i].Rank < out[j].Rank
-		}
-		return out[i].PC < out[j].PC
+	slices.SortFunc(out, func(a, b *P2PSite) int {
+		return cmp.Or(cmp.Compare(a.Rank, b.Rank), mpi.CompareSites(a.Name, a.Site, b.Name, b.Site))
 	})
 	return out
 }
@@ -347,8 +346,8 @@ func hashEdgeSet(set map[edge]struct{}) uint64 {
 	var b [16]byte
 	for _, e := range keys {
 		for i := 0; i < 8; i++ {
-			b[i] = byte(uint64(e.from) >> (8 * i))
-			b[8+i] = byte(uint64(e.to) >> (8 * i))
+			b[i] = byte(e.from >> (8 * i))
+			b[8+i] = byte(e.to >> (8 * i))
 		}
 		h.Write(b[:])
 	}

@@ -2,6 +2,7 @@ package profile
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -20,24 +21,26 @@ func (p *Profile) Report() string {
 		fmt.Fprintf(&sb, "point-to-point: %d sites, %d injection points\n", len(p.P2PSites), n)
 	}
 
-	// Aggregate per static call site (PC) across ranks.
+	// Aggregate per static call site across ranks.
 	type agg struct {
-		name    string
-		typ     mpi.CollType
-		ranks   int
-		invs    int
-		bytes   int64
-		stacks  int
-		errHdl  int
-		phases  map[mpi.Phase]bool
-		minRank int
+		site   uint64
+		name   string
+		typ    mpi.CollType
+		ranks  int
+		invs   int
+		bytes  int64
+		stacks int
+		errHdl int
+		phases map[mpi.Phase]bool
 	}
-	byPC := map[uintptr]*agg{}
+	bySite := map[uint64]*agg{}
+	var aggs []*agg
 	for _, s := range p.SiteList() {
-		a := byPC[s.PC]
+		a := bySite[s.Site]
 		if a == nil {
-			a = &agg{name: s.Name, typ: s.Type, phases: map[mpi.Phase]bool{}, minRank: s.Rank}
-			byPC[s.PC] = a
+			a = &agg{site: s.Site, name: s.Name, typ: s.Type, phases: map[mpi.Phase]bool{}}
+			bySite[s.Site] = a
+			aggs = append(aggs, a)
 		}
 		a.ranks++
 		a.invs += s.Invocations()
@@ -52,16 +55,11 @@ func (p *Profile) Report() string {
 			a.phases[iv.Phase] = true
 		}
 	}
-	pcs := make([]uintptr, 0, len(byPC))
-	for pc := range byPC {
-		pcs = append(pcs, pc)
-	}
-	sort.Slice(pcs, func(i, j int) bool { return pcs[i] < pcs[j] })
+	slices.SortFunc(aggs, func(a, b *agg) int { return mpi.CompareSites(a.name, a.site, b.name, b.site) })
 
 	fmt.Fprintf(&sb, "\n%-20s %6s %6s %10s %7s %7s %-18s %s\n",
 		"collective", "ranks", "calls", "bytes", "stacks", "errhdl", "phases", "site")
-	for _, pc := range pcs {
-		a := byPC[pc]
+	for _, a := range aggs {
 		var phases []string
 		for ph := mpi.PhaseInit; ph <= mpi.PhaseEnd; ph++ {
 			if a.phases[ph] {
