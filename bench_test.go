@@ -349,17 +349,28 @@ func BenchmarkAblationFullFastFIT(b *testing.B)     { benchCampaign(b, true, tru
 
 // ---- substrate microbenchmarks ----
 
+// benchCollective runs fn b.N times on every rank of a 32-rank world, once
+// on the default runtime (collective rendezvous on) and once on the
+// reference runtime (DisablePooling: message algorithms, no arena), back to
+// back so the pair's ratio is comparable on any host.
 func benchCollective(b *testing.B, fn func(r *fastfit.Rank)) {
 	b.Helper()
-	res := fastfit.RunRanks(fastfit.RunOptions{NumRanks: 8, Seed: 1, Timeout: 5 * time.Minute, WorkBudget: -1},
-		func(r *fastfit.Rank) error {
-			for i := 0; i < b.N; i++ {
-				fn(r)
+	for _, leg := range []struct {
+		name      string
+		reference bool
+	}{{"rendezvous", false}, {"reference", true}} {
+		b.Run(leg.name, func(b *testing.B) {
+			opts := fastfit.RunOptions{NumRanks: 32, Seed: 1, Timeout: 5 * time.Minute, WorkBudget: -1, DisablePooling: leg.reference}
+			res := fastfit.RunRanks(opts, func(r *fastfit.Rank) error {
+				for i := 0; i < b.N; i++ {
+					fn(r)
+				}
+				return nil
+			})
+			if err := res.FirstError(); err != nil {
+				b.Fatal(err)
 			}
-			return nil
 		})
-	if err := res.FirstError(); err != nil {
-		b.Fatal(err)
 	}
 }
 
@@ -379,10 +390,14 @@ func BenchmarkSubstrateBcast1K(b *testing.B) {
 	})
 }
 
+func BenchmarkSubstrateAllgather(b *testing.B) {
+	benchCollective(b, func(r *fastfit.Rank) { r.AllgatherInt64s(int64(r.ID()), fastfit.CommWorld) })
+}
+
 func BenchmarkSubstrateAlltoall(b *testing.B) {
 	benchCollective(b, func(r *fastfit.Rank) {
-		send := fastfit.FromFloat64s(make([]float64, 64))
-		recv := fastfit.NewFloat64Buffer(64)
+		send := fastfit.FromFloat64s(make([]float64, 8*32))
+		recv := fastfit.NewFloat64Buffer(8 * 32)
 		r.Alltoall(send, recv, 8, fastfit.Float64, fastfit.CommWorld)
 	})
 }

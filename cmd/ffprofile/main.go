@@ -6,8 +6,9 @@
 // With -trials it additionally drives N injected trials through the
 // engine hot path and reports per-trial wall time, memory churn and the
 // fork-at-injection-site accounting, which is how the numbers in
-// EXPERIMENTS.md were gathered; -nopool disables the buffer arena and
-// -nofork disables snapshot forking for before/after comparison.
+// EXPERIMENTS.md were gathered; -nopool selects the reference runtime (no
+// buffer arena, no collective rendezvous) and -nofork disables snapshot
+// forking for before/after comparison.
 //
 // Usage:
 //
@@ -45,7 +46,7 @@ func run() error {
 		iters   = flag.Int("iters", 0, "outer iterations (0 = app default)")
 		points  = flag.Bool("points", false, "also list the pruned injection points")
 		trials  = flag.Int("trials", 0, "run N injected trials and report ms/trial, allocs/trial, KB/trial")
-		nopool  = flag.Bool("nopool", false, "disable the buffer arena (per-trial allocation baseline)")
+		nopool  = flag.Bool("nopool", false, "reference runtime: no buffer arena and no collective rendezvous")
 		nofork  = flag.Bool("nofork", false, "disable fork-at-injection-site execution (full-replay baseline)")
 	)
 	flag.Parse()

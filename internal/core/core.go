@@ -28,11 +28,12 @@ type Exec struct {
 	// Parallelism is the number of injected runs executed concurrently.
 	// Zero picks a conservative default based on GOMAXPROCS.
 	Parallelism int
-	// DisablePooling turns off the simulated runtime's buffer arena
-	// (mpi.RunOptions.DisablePooling) and the precomputed golden digest,
-	// falling back to per-run allocation and full golden comparison. The
-	// differential tests use this to prove the pooled fast path is
-	// outcome-identical; campaigns leave it off.
+	// DisablePooling selects the reference runtime
+	// (mpi.RunOptions.DisablePooling): no buffer arena, no collective
+	// rendezvous — every collective runs its message algorithm — and no
+	// precomputed golden digest, so runs allocate per run and compare
+	// against the full golden output. The differential tests use this to
+	// prove the fast paths outcome-identical; campaigns leave it off.
 	DisablePooling bool
 	// Policy selects which parameter each fault-injection test corrupts.
 	Policy FaultPolicy

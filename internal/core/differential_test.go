@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"github.com/fastfit/fastfit/internal/apps/is"
+	"github.com/fastfit/fastfit/internal/apps/minimd"
 )
 
 // The differential identity suite is the correctness contract of the
@@ -35,6 +36,9 @@ func diffTestOptions(seed int64) Options {
 	return opts
 }
 
+// engineFunc builds a differential leg's engine for the given options.
+type engineFunc func(t *testing.T, opts Options) *Engine
+
 func diffTestEngine(t *testing.T, opts Options) *Engine {
 	t.Helper()
 	app := is.New()
@@ -45,15 +49,29 @@ func diffTestEngine(t *testing.T, opts Options) *Engine {
 	return New(app, cfg, opts)
 }
 
+// minimdDiffEngine is the Allreduce-heavy leg: minimd at 8 ranks, whose
+// Allreduce, Allgather, Bcast and Barrier calls all take the collective
+// rendezvous on the pooled side.
+func minimdDiffEngine(t *testing.T, opts Options) *Engine {
+	t.Helper()
+	app := minimd.New()
+	cfg := app.DefaultConfig()
+	cfg.Ranks = 8
+	cfg.Scale = 8
+	cfg.Iters = 4
+	cfg.Seed = opts.Seed
+	return New(app, cfg, opts)
+}
+
 // runDiffSerial runs one serial campaign (direct, ML or adaptive,
 // depending on opts) and captures both output surfaces.
-func runDiffSerial(t *testing.T, opts Options, pooled bool) diffCampaign {
+func runDiffSerial(t *testing.T, mk engineFunc, opts Options, pooled bool) diffCampaign {
 	t.Helper()
 	var stream bytes.Buffer
 	jo := NewJSONLObserver(&stream)
 	opts.DisablePooling = !pooled
 	opts.Observer = jo
-	res, err := diffTestEngine(t, opts).RunCampaign()
+	res, err := mk(t, opts).RunCampaign()
 	if err != nil {
 		t.Fatalf("campaign (pooled=%t): %v", pooled, err)
 	}
@@ -68,7 +86,7 @@ func runDiffSerial(t *testing.T, opts Options, pooled bool) diffCampaign {
 // stream is timing-dependent (cancellation may land before or after the
 // next PointStarted), so the deterministic surfaces are the resume leg's
 // stream and the final campaign JSON.
-func runDiffResumed(t *testing.T, opts Options, pooled bool) diffCampaign {
+func runDiffResumed(t *testing.T, mk engineFunc, opts Options, pooled bool) diffCampaign {
 	t.Helper()
 	opts.DisablePooling = !pooled
 	dir := t.TempDir()
@@ -82,7 +100,7 @@ func runDiffResumed(t *testing.T, opts Options, pooled bool) diffCampaign {
 			cancel()
 		}
 	})
-	first, err := NewSupervisor(diffTestEngine(t, intOpts), SupervisorOptions{
+	first, err := NewSupervisor(mk(t, intOpts), SupervisorOptions{
 		Workers:    1,
 		Checkpoint: ckpt,
 	}).Run(ctx)
@@ -100,7 +118,7 @@ func runDiffResumed(t *testing.T, opts Options, pooled bool) diffCampaign {
 	jo := NewJSONLObserver(&stream)
 	resumeOpts := opts
 	resumeOpts.Observer = jo
-	res, err := ResumeCampaign(context.Background(), diffTestEngine(t, resumeOpts), SupervisorOptions{
+	res, err := ResumeCampaign(context.Background(), mk(t, resumeOpts), SupervisorOptions{
 		Workers:    1,
 		Checkpoint: ckpt,
 	})
@@ -134,7 +152,12 @@ func compareDiff(t *testing.T, path string, pooled, unpooled diffCampaign) {
 
 // TestDifferentialPooledIdentity sweeps 20 seeds across the direct, ML,
 // adaptive and interrupt/resume campaign paths, requiring the pooled and
-// unpooled engines to be byte-identical on every output surface.
+// unpooled engines to be byte-identical on every output surface. The
+// unpooled engine is the reference runtime — no arena and no collective
+// rendezvous — so the sweep also proves rendezvous≡message. Three legs:
+// IS and minimd with data-buffer faults (corrupted contents, so the
+// rendezvous stays on its fast path), and IS with all-parameter faults,
+// whose count, op, root and comm faults drive it into fallback.
 func TestDifferentialPooledIdentity(t *testing.T) {
 	seeds := int64(20)
 	if raceEnabled || testing.Short() {
@@ -142,32 +165,48 @@ func TestDifferentialPooledIdentity(t *testing.T) {
 		// the race detector (or -short) a 4-seed sweep keeps the signal.
 		seeds = 4
 	}
-	for seed := int64(1); seed <= seeds; seed++ {
-		seed := seed
-		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			t.Parallel()
+	legs := []struct {
+		prefix string // subtest name prefix; the original IS leg has none
+		mk     engineFunc
+		policy FaultPolicy
+	}{
+		{"", diffTestEngine, PolicyDataBuffer},
+		{"minimd/", minimdDiffEngine, PolicyDataBuffer},
+		{"is-params/", diffTestEngine, PolicyAllParams},
+	}
+	for _, leg := range legs {
+		for seed := int64(1); seed <= seeds; seed++ {
+			leg, seed := leg, seed
+			t.Run(fmt.Sprintf("%sseed=%d", leg.prefix, seed), func(t *testing.T) {
+				t.Parallel()
+				options := func() Options {
+					opts := diffTestOptions(seed)
+					opts.Policy = leg.policy
+					return opts
+				}
 
-			t.Run("direct", func(t *testing.T) {
-				opts := diffTestOptions(seed)
-				compareDiff(t, "direct", runDiffSerial(t, opts, true), runDiffSerial(t, opts, false))
+				t.Run("direct", func(t *testing.T) {
+					opts := options()
+					compareDiff(t, "direct", runDiffSerial(t, leg.mk, opts, true), runDiffSerial(t, leg.mk, opts, false))
+				})
+				t.Run("ml", func(t *testing.T) {
+					opts := options()
+					opts.ML.Pruning = true
+					opts.ML.Batch = 2
+					opts.ML.MinTrain = 4
+					compareDiff(t, "ml", runDiffSerial(t, leg.mk, opts, true), runDiffSerial(t, leg.mk, opts, false))
+				})
+				t.Run("adaptive", func(t *testing.T) {
+					opts := options()
+					opts.Adaptive.Enabled = true
+					opts.TrialsPerPoint = 12
+					compareDiff(t, "adaptive", runDiffSerial(t, leg.mk, opts, true), runDiffSerial(t, leg.mk, opts, false))
+				})
+				t.Run("resumed", func(t *testing.T) {
+					opts := options()
+					compareDiff(t, "resumed", runDiffResumed(t, leg.mk, opts, true), runDiffResumed(t, leg.mk, opts, false))
+				})
 			})
-			t.Run("ml", func(t *testing.T) {
-				opts := diffTestOptions(seed)
-				opts.ML.Pruning = true
-				opts.ML.Batch = 2
-				opts.ML.MinTrain = 4
-				compareDiff(t, "ml", runDiffSerial(t, opts, true), runDiffSerial(t, opts, false))
-			})
-			t.Run("adaptive", func(t *testing.T) {
-				opts := diffTestOptions(seed)
-				opts.Adaptive.Enabled = true
-				opts.TrialsPerPoint = 12
-				compareDiff(t, "adaptive", runDiffSerial(t, opts, true), runDiffSerial(t, opts, false))
-			})
-			t.Run("resumed", func(t *testing.T) {
-				opts := diffTestOptions(seed)
-				compareDiff(t, "resumed", runDiffResumed(t, opts, true), runDiffResumed(t, opts, false))
-			})
-		})
+		}
 	}
 }

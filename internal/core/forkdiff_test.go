@@ -152,7 +152,7 @@ func TestDifferentialForkIdentity(t *testing.T) {
 	}
 	runLeg := func(t *testing.T, opts Options, disable bool) diffCampaign {
 		opts.Fork.Disable = disable
-		return runDiffSerial(t, opts, true)
+		return runDiffSerial(t, diffTestEngine, opts, true)
 	}
 	for seed := int64(1); seed <= seeds; seed++ {
 		seed := seed
@@ -181,7 +181,7 @@ func TestDifferentialForkIdentity(t *testing.T) {
 				forkOpts, replayOpts := opts, opts
 				replayOpts.Fork.Disable = true
 				compareForkDiff(t, "resumed",
-					runDiffResumed(t, forkOpts, true), runDiffResumed(t, replayOpts, true), false)
+					runDiffResumed(t, diffTestEngine, forkOpts, true), runDiffResumed(t, diffTestEngine, replayOpts, true), false)
 			})
 		})
 	}

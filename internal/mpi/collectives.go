@@ -3,7 +3,10 @@ package mpi
 // This file implements the collective algorithms on top of point-to-point
 // messaging: dissemination barrier, binomial-tree broadcast and reduce,
 // recursive-doubling allreduce, linear scatter/gather, ring allgather,
-// pairwise-exchange alltoall(/v), reduce_scatter and linear scan.
+// pairwise-exchange alltoall(/v), reduce_scatter and linear scan. Barrier,
+// Bcast, Allreduce and Allgather first try the shared-memory rendezvous
+// (rendezvous.go), which completes them without messages when every rank
+// agrees and otherwise hands them back to the algorithm here unchanged.
 //
 // Every algorithm consumes the (possibly injector-mutated) Args fields of
 // its own rank only, so a corrupted parameter on one rank derails the
@@ -70,6 +73,10 @@ func (r *Rank) Barrier(comm Comm) {
 	me := ci.rankOf[r.id]
 	size := len(ci.members)
 	seq := r.nextSeq(args.Comm)
+	if r.rendezvous(call, ci, seq) {
+		r.endCollective(call)
+		return
+	}
 	round := 0
 	for mask := 1; mask < size; mask <<= 1 {
 		dst := (me + mask) % size
@@ -97,6 +104,10 @@ func (r *Rank) Bcast(buf *Buffer, count int, dt Datatype, root int, comm Comm) {
 	me := ci.rankOf[r.id]
 	size := len(ci.members)
 	seq := r.nextSeq(args.Comm)
+	if r.rendezvous(call, ci, seq) {
+		r.endCollective(call)
+		return
+	}
 
 	nbytes := int(args.Count) * args.Dtype.Size()
 	vrank := (me - int(args.Root) + size) % size
@@ -183,6 +194,10 @@ func (r *Rank) Allreduce(send, recv *Buffer, count int, dt Datatype, op Op, comm
 	me := ci.rankOf[r.id]
 	size := len(ci.members)
 	seq := r.nextSeq(args.Comm)
+	if r.rendezvous(call, ci, seq) {
+		r.endCollective(call)
+		return
+	}
 
 	nbytes := int(args.Count) * args.Dtype.Size()
 	src := args.Send.ReadAt(opName+" send", 0, nbytes)
@@ -319,6 +334,10 @@ func (r *Rank) Allgather(send, recv *Buffer, count int, dt Datatype, comm Comm) 
 	me := ci.rankOf[r.id]
 	size := len(ci.members)
 	seq := r.nextSeq(args.Comm)
+	if r.rendezvous(call, ci, seq) {
+		r.endCollective(call)
+		return
+	}
 
 	blk := int(args.Count) * args.Dtype.Size()
 	args.Recv.WriteAt(op+" recv own", me*blk, args.Send.ReadAt(op+" send", 0, blk))

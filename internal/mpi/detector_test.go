@@ -33,7 +33,6 @@ func TestSlowLiveRunWithHeartbeatCompletes(t *testing.T) {
 	res := Run(RunOptions{NumRanks: 2, Network: net, Timeout: 10 * time.Second}, func(r *Rank) error {
 		r.StartHeartbeat(20 * time.Microsecond)
 		if r.ID() == 0 {
-			// Sleep well past the quiescence stuck-window before sending.
 			time.Sleep(60 * time.Millisecond)
 			r.Send(CommWorld, 1, 5, []byte{1})
 		} else {

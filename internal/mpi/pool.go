@@ -128,6 +128,8 @@ type runShell struct {
 	// shared across runs. Communicators created by CommSplit/CommDup are
 	// per-run and stay GC-managed.
 	world0 *commInfo
+	// rdv is the collective rendezvous slot table, emptied by reclaim.
+	rdv rendezvous
 }
 
 type shellKey struct{ n, mailbox int }
@@ -175,6 +177,7 @@ func newShell(n, mailbox int) *runShell {
 		mailbox: mailbox,
 		ranks:   make([]*Rank, n),
 		world0:  &commInfo{handle: CommWorld, members: members, rankOf: rankOf},
+		rdv:     rendezvous{open: make(map[slotKey]*slot)},
 	}
 	for i := 0; i < n; i++ {
 		sh.ranks[i] = &Rank{
@@ -212,14 +215,23 @@ func (rk *Rank) bind(w *World, seed, budget int64) {
 	rk.reported = nil // escapes into RankResult.Values; never recycled
 	rk.replay = nil   // armed by bindFork after every rank is bound
 	rk.blockKind.Store(blockNone)
+	if w.rdv != nil && rk.wake == nil {
+		rk.wake = make(chan uint8, 1)
+	}
 }
 
 // reclaim returns a finished run's pooled memory to the arena: leftover
 // messages in mailboxes and pending lists (a killed run abandons traffic
-// in flight) and every pooled Buffer handed out during the run. It must
-// only be called after all rank goroutines have been joined.
+// in flight), rendezvous slots and wake verdicts a killed run left behind,
+// and every pooled Buffer handed out during the run. It must only be
+// called after all rank goroutines have been joined.
 func (sh *runShell) reclaim() {
+	sh.rdv.reclaim()
 	for _, rk := range sh.ranks {
+		select {
+		case <-rk.wake:
+		default:
+		}
 	drain:
 		for {
 			select {

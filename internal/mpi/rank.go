@@ -116,13 +116,19 @@ type Rank struct {
 	appSrc  fibSource
 
 	// blockKind/blockPeer publish where this rank is parked — blockRecv
-	// (waiting on its own inbox) or blockSend with the target's world rank
-	// (waiting for capacity in a full inbox) — for the supervisor's
-	// exact-quiescence check (World.exactQuiesced). Set before the matching
-	// blocked.Add(1), cleared after every blocked.Add(-1), so whenever a
-	// rank is counted blocked its park site is already published.
+	// (waiting on its own inbox), blockSend with the target's world rank
+	// (waiting for capacity in a full inbox) or blockSlot (waiting in a
+	// collective rendezvous slot) — for the supervisor's exact-quiescence
+	// check (World.exactQuiesced). Set before the matching blocked.Add(1),
+	// so whenever a rank is counted blocked its park site is already
+	// published. Cleared after every blocked.Add(-1), except that a slot
+	// waker clears blockSlot first (Rank.unpark); in between the rank
+	// counts as blocked but unparked, which only makes the check refuse.
+	// wake carries a rendezvous verdict to this rank while it is parked in
+	// a slot: wakeDone, wakeFallback or wakeKilled (see rendezvous.go).
 	blockKind atomic.Int32
 	blockPeer atomic.Int32
+	wake      chan uint8
 }
 
 // blockKind values. Park sites that never annotate themselves leave
@@ -132,6 +138,7 @@ const (
 	blockNone int32 = iota
 	blockRecv
 	blockSend
+	blockSlot // parked in a collective rendezvous slot
 )
 
 // Tick charges units of computational work to the rank's budget. Applications

@@ -20,9 +20,11 @@ type RunOptions struct {
 	// Timeout bounds the wall-clock duration of the run; past it the run is
 	// cancelled and blocked ranks die with Killed. Zero means 2 seconds.
 	Timeout time.Duration
-	// DeadlockCheck enables the quiescence detector that cancels runs whose
-	// surviving ranks are all blocked with no messages in flight. Enabled
-	// unless explicitly disabled with NoDeadlockCheck.
+	// NoDeadlockCheck disables the quiescence detector that cancels runs
+	// whose surviving ranks are all blocked with no messages in flight; such
+	// a run then ends at its Timeout. The supervisor still releases ranks
+	// parked in collective rendezvous slots when the world freezes (see
+	// rendezvous.go), so the verdict matches the message algorithms.
 	NoDeadlockCheck bool
 	// Seed feeds the per-rank deterministic random generators.
 	Seed int64
@@ -39,11 +41,13 @@ type RunOptions struct {
 	// wall-clock timeout. Campaign supervisors use this to stop in-flight
 	// injected runs promptly on Ctrl-C.
 	Context context.Context
-	// DisablePooling turns off the buffer arena (see pool.go) that
-	// recycles rank state, message payloads, collective scratch and
-	// simulated-memory buffers across runs. Pooling is on by default; the
-	// differential test harness uses this switch to prove the pooled and
-	// unpooled paths are outcome-identical.
+	// DisablePooling selects the reference runtime: it turns off the
+	// buffer arena (see pool.go) that recycles rank state, message
+	// payloads, collective scratch and simulated-memory buffers across
+	// runs, and the collective rendezvous (see rendezvous.go), so every
+	// collective runs its message algorithm. Both are on by default; the
+	// differential test harness uses this switch to prove the fast paths
+	// outcome-identical to the reference.
 	DisablePooling bool
 	// Network, when non-nil, routes every point-to-point message (and the
 	// internal traffic of every collective) through a simulated
@@ -64,6 +68,11 @@ type RunOptions struct {
 	// prefix from a recorded golden trace instead of executing it (see
 	// fork.go). Mutually exclusive with Record.
 	Fork *Fork
+
+	// noRendezvous keeps the arena but runs every collective through its
+	// message algorithm, so in-package tests can compare the two paths
+	// with everything else equal.
+	noRendezvous bool
 }
 
 // RankResult reports how one rank finished.
@@ -81,6 +90,8 @@ type RunResult struct {
 	Cancelled bool // RunOptions.Context was done before completion
 	Elapsed   time.Duration
 	Trace     *Trace // recorded communication, when RunOptions.Record was set
+
+	slotReleases int64 // rendezvous slots the supervisor released to fallback
 }
 
 // FirstError returns the highest-priority error across ranks, or nil. The
@@ -132,6 +143,12 @@ type World struct {
 	comms   []*commInfo
 	hook    Hook
 	pooling bool // buffer arena active for this run (see pool.go)
+
+	// rdv is the collective rendezvous slot table (see rendezvous.go), nil
+	// when collectives run their message algorithms only. slotReleases
+	// counts the slots the supervisor released on a frozen world.
+	rdv          *rendezvous
+	slotReleases int64
 
 	commMu sync.Mutex // guards comms growth (Comm split/dup)
 
@@ -200,6 +217,7 @@ func (w *World) kill(why string) {
 	w.doneOnce.Do(func() {
 		w.killWhy.Store(why)
 		close(w.done)
+		w.releaseSlots(wakeKilled)
 	})
 }
 
@@ -274,6 +292,11 @@ func Run(opts RunOptions, fn func(r *Rank) error) RunResult {
 		done:    make(chan struct{}),
 		quiesce: make(chan struct{}, 1),
 		pooling: pooling,
+	}
+	if pooling && !opts.noRendezvous && opts.Network == nil && len(opts.CrashedRanks) == 0 {
+		// The network fault domain acts per message, so faulty worlds keep
+		// every collective on its message algorithm.
+		w.rdv = &shell.rdv
 	}
 	w.comms = []*commInfo{shell.world0}
 	w.ranks = shell.ranks
@@ -355,22 +378,7 @@ func Run(opts RunOptions, fn func(r *Rank) error) RunResult {
 		ctxDone = opts.Context.Done()
 	}
 
-	var deadlock, timedOut, cancelled bool
-	if opts.NoDeadlockCheck {
-		select {
-		case <-allDone:
-		case <-time.After(timeout):
-			timedOut = true
-			w.kill("wall-clock timeout")
-			<-allDone
-		case <-ctxDone:
-			cancelled = true
-			w.kill("run cancelled")
-			<-allDone
-		}
-	} else {
-		deadlock, timedOut, cancelled = w.supervise(allDone, ctxDone, timeout)
-	}
+	deadlock, timedOut, cancelled := w.supervise(allDone, ctxDone, timeout, !opts.NoDeadlockCheck)
 
 	// All rank goroutines are joined on every path above; the heartbeat
 	// monitor (if a resilient collective started one) is stopped and joined
@@ -391,6 +399,8 @@ func Run(opts RunOptions, fn func(r *Rank) error) RunResult {
 		TimedOut:  timedOut,
 		Cancelled: cancelled,
 		Elapsed:   time.Since(start),
+
+		slotReleases: w.slotReleases,
 	}
 	if w.rec != nil {
 		if deadlock || timedOut || cancelled {
@@ -407,30 +417,53 @@ func Run(opts RunOptions, fn func(r *Rank) error) RunResult {
 // fire, with message conservation holding. No wall-clock window decides
 // it, so a rank the scheduler leaves unrun for a while is never mistaken
 // for a stalled one.
-func (w *World) supervise(allDone chan struct{}, ctxDone <-chan struct{}, timeout time.Duration) (deadlock, timedOut, cancelled bool) {
+//
+// A frozen world is first released, then reaped: if ranks are parked in
+// rendezvous slots, every open slot falls back to its message algorithm
+// and the run goes on; only a world that freezes with no slot to release
+// is reaped. The release step runs even when reap is false
+// (NoDeadlockCheck), because without it a slot whose member never arrives
+// would hold ranks the message algorithm lets through.
+func (w *World) supervise(allDone chan struct{}, ctxDone <-chan struct{}, timeout time.Duration, reap bool) (deadlock, timedOut, cancelled bool) {
 	deadline := time.NewTimer(timeout)
 	defer deadline.Stop()
 	const tickPeriod = 250 * time.Microsecond
 	tick := time.NewTicker(tickPeriod)
 	defer tick.Stop()
 
-	// reap tears the frozen run down. Campaigns spend a large share of
-	// their wall clock on faulty runs whose survivors starve; this is the
-	// moment that cost is paid, so both the hint and the tick funnel
-	// through here.
-	reap := func() bool {
+	// frozen releases or tears down a frozen run and reports whether the
+	// run was reaped. Campaigns spend a large share of their wall clock on
+	// faulty runs whose survivors starve; this is the moment that cost is
+	// paid, so both the hint and the tick funnel through here.
+	frozen := func() bool {
+		if n := w.releaseSlots(wakeFallback); n > 0 || !reap {
+			w.slotReleases += n
+			return false
+		}
 		if w.failed.Load() > 0 {
 			// Not a deadlock of the application's own making: the surviving
 			// ranks are starved by a failed peer. Reap them like mpirun
 			// tearing down a job whose rank died — the failure itself is
 			// already in the results and dominates classification.
 			w.kill("job abort: peers starved by a failed rank")
-			return false
+		} else {
+			w.kill("deadlock: all surviving ranks blocked with no progress")
+			deadlock = true
 		}
-		w.kill("deadlock: all surviving ranks blocked with no progress")
+		<-allDone
 		return true
 	}
 
+	// A context already done when the run starts cancels it outright;
+	// otherwise its ranks could freeze first, and the select below would
+	// pick between the cancellation and the deadlock verdict at random.
+	select {
+	case <-ctxDone:
+		w.kill("run cancelled")
+		<-allDone
+		return false, false, true
+	default:
+	}
 	for {
 		select {
 		case <-allDone:
@@ -447,16 +480,12 @@ func (w *World) supervise(allDone chan struct{}, ctxDone <-chan struct{}, timeou
 			// A park or exit completed the fin+blk == size sum. Verify the
 			// frozen state exactly; a rejected hint costs one scan and the
 			// poll tick below remains as the safety net.
-			if w.exactNow() {
-				deadlock = reap()
-				<-allDone
+			if w.exactNow() && frozen() {
 				return deadlock, false, false
 			}
 		case <-tick.C:
 			// The safety net for a hint lost to the coalescing channel.
-			if w.exactNow() {
-				deadlock = reap()
-				<-allDone
+			if w.exactNow() && frozen() {
 				return deadlock, false, false
 			}
 		}
@@ -503,6 +532,10 @@ func (w *World) exactQuiesced(fin int64) bool {
 	for _, rk := range w.ranks {
 		queued += int64(len(rk.inbox))
 		switch rk.blockKind.Load() {
+		case blockSlot:
+			// Only a completing arrival or a release wakes a slot-parked
+			// rank, and its waker clears the mark before waking it.
+			parked++
 		case blockRecv:
 			if len(rk.inbox) != 0 {
 				return false
